@@ -5,36 +5,34 @@ BlueField-2 pool and a Pensando pool, each hosting structurally
 *diverse* resident mixes (table-driven NFs interleaved with the
 regex-offloading NIDS in varying order and count, plus solo residents).
 Every signature group holds at most two scenarios, i.e. everything sits
-below the batch engine's scalar-fallback threshold: before padded
-super-groups this entire epoch solved scenario by scenario on the
-scalar path. Solved two ways:
+below the batch engine's full-lane group size: without padding this
+entire epoch would solve scenario by scenario on the scalar path.
+Solved two ways:
 
-- **scalar fallback**: ``solve_batch(..., pad_small_groups=False)`` —
-  the pre-super-group behaviour (every small group loops through
-  :meth:`SmartNic.run`, the bit-exactness oracle);
-- **padded**: ``solve_batch(..., pad_small_groups=True)`` — small
-  groups merge into padded super-groups (subsequence embedding into a
-  grown super-signature, masked dummy lanes) and solve as one
-  vectorized fixed point per family.
+- **loop**: ``[nic.run(s) for s in scenarios]`` — the scalar solver,
+  the bit-exactness oracle;
+- **padded**: ``nic.run_batch(scenarios)`` — the whole epoch is the
+  batch's remainder, which solves as one universal padded group per
+  target (subsequence embedding into the distinct workload signatures
+  repeated K times, masked dummy lanes).
 
 The NICs are noiseless so the gate measures the solvers, not the seeded
-measurement-noise hashing both arms share. Correctness is asserted
-before timing: the padded results must equal the scalar-fallback arm
-exactly (throughputs, counters, stages, iteration counts) on both
-hardware targets. Timing follows the suite conventions: CPU time, min
+measurement-noise hashing. Correctness is asserted before timing: the
+padded results must equal the loop exactly (throughputs, counters,
+stages, iteration counts) on both hardware targets. Timing follows the suite conventions: CPU time, min
 of three runs per arm, re-measured up to three times.
 """
 
 from __future__ import annotations
 
 from repro.nf.catalog import make_nf
-from repro.nic.batch import solve_batch
 from repro.nic.nic import SmartNic
 from repro.nic.spec import get_spec
+from repro.obs import TraceRecorder, use_recorder
 from repro.rng import make_rng
 from repro.traffic.profile import TrafficProfile
 
-#: Required advantage of padded super-groups over the scalar fallback.
+#: Required advantage of the padded batch over the scalar loop.
 MIN_HETERO_SPEEDUP = 2.0
 
 #: Hardware targets of the mixed fleet.
@@ -85,7 +83,11 @@ def build_scenarios(seed: int) -> list:
 def solve_fleet(nics: dict, scenarios: list, padded: bool) -> dict:
     """One 'epoch': solve every pool's scenario list on its own NIC."""
     return {
-        target: solve_batch(nic, scenarios, pad_small_groups=padded)
+        target: (
+            nic.run_batch(scenarios)
+            if padded
+            else [nic.run(scenario) for scenario in scenarios]
+        )
         for target, nic in nics.items()
     }
 
@@ -99,8 +101,12 @@ def test_padded_super_groups_match_scalar_and_are_2x_faster(
     }
     scenarios = build_scenarios(42)
 
-    # Bit-identical results first — the speedup must be free.
-    padded = solve_fleet(nics, scenarios, padded=True)
+    # Bit-identical results first — the speedup must be free — and no
+    # scenario may have left the padded path.
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        padded = solve_fleet(nics, scenarios, padded=True)
+    assert "batch.scalar_scenarios" not in recorder.exec_counters
     scalar = solve_fleet(nics, scenarios, padded=False)
     for target in TARGETS:
         for i in range(len(scenarios)):
@@ -123,11 +129,11 @@ def test_padded_super_groups_match_scalar_and_are_2x_faster(
         speedup = max(speedup, scalar_time / padded_time)
         if speedup >= MIN_HETERO_SPEEDUP:
             break
-    benchmark.extra_info["hetero_padded_speedup_vs_scalar_fallback"] = round(
+    benchmark.extra_info["hetero_padded_speedup_vs_loop"] = round(
         speedup, 2
     )
     benchmark.pedantic(
         lambda: solve_fleet(nics, scenarios, True), rounds=1, iterations=1
     )
-    print(f"\nheterogeneous-fleet padded super-group speedup: {speedup:.2f}x")
+    print(f"\nheterogeneous-fleet padded batch speedup vs loop: {speedup:.2f}x")
     assert speedup >= MIN_HETERO_SPEEDUP

@@ -1,5 +1,5 @@
-"""Perf gates: cross-epoch incremental solving (PR: warm starts,
-compile cache, straggler adoption).
+"""Perf gates: cross-epoch incremental solving (warm starts, compile
+cache, straggler adoption).
 
 Three speedup gates plus one always-run correctness gate:
 
@@ -18,13 +18,12 @@ Three speedup gates plus one always-run correctness gate:
   steady-state cached arm must beat the cache-disabled arm on plan
   construction alone (solves are identical: cached plans are the same
   objects).
-- **Straggler adoption (>= 1.0x, i.e. never slower)**: one big padded
-  group plus every proper-subsequence small signature riding along as
-  adopted masked lanes, against the scalar-fallback arm
-  (``pad_small_groups=False``). Adoption amortises the big group's
-  sweeps over the stragglers; the gate holds it to at-worst-parity
-  with per-scenario scalar solves even when the adopted rows' dummy
-  lanes join shared accelerator engines.
+- **Straggler adoption (>= 1.0x, i.e. never slower)**: one big
+  full-lane group plus every proper-subsequence small signature, which
+  rides along in the universal padded group, against the loop oracle
+  (``nic.run`` per scenario). The gate holds the batch to
+  at-worst-parity with per-scenario scalar solves even when the padded
+  rows' dummy lanes join shared accelerator engines.
 - **Correctness (always runs, 1/10 scale)**: ``warm_start=True``
   reports are byte-identical between the serial runtime and a 2-worker
   ``ProcessRuntime`` — the warm cache travels in task payloads, so
@@ -67,7 +66,7 @@ MIN_WARM_SPEEDUP = 1.5
 #: rebuilding every scenario plan (measured ~1.4x).
 MIN_COMPILE_CACHE_SPEEDUP = 1.2
 
-#: Adoption must never lose to the scalar fallback (measured ~1.25x).
+#: Adoption must never lose to the scalar loop oracle.
 MIN_ADOPTION_SPEEDUP = 1.0
 
 #: Warm-leg fleet: services / Pensando capacity (8) = 1,000 NICs.
@@ -284,8 +283,8 @@ def test_compile_cache_steady_state_speedup(benchmark):
 # ------------------------------------------------------- adoption leg
 def _adoption_scenarios() -> tuple[list, int]:
     """48 big rows plus every proper subsequence of the big mix as a
-    2-row small signature (light traffic, so adopted rows converge
-    inside the big group's iteration envelope)."""
+    2-row small signature (light traffic). Returns the scenarios and
+    the straggler count."""
     rng = np.random.default_rng(29)
 
     def scen(mix, lo, hi):
@@ -310,37 +309,35 @@ def _adoption_scenarios() -> tuple[list, int]:
 
 
 def test_adoption_never_loses_to_scalar_fallback(benchmark):
-    scenarios, expected_adoptions = _adoption_scenarios()
+    scenarios, stragglers = _adoption_scenarios()
     nic = SmartNic(bluefield2_spec(), seed=11, noise_std=0.0)
-    speedup, adopt_s, scalar_s, adoptions = 0.0, 0.0, 0.0, 0
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        batched = solve_batch(nic, scenarios, on_error="return")
+    # Every straggler rode along in the universal padded group.
+    assert "batch.scalar_scenarios" not in recorder.exec_counters
+    assert recorder.exec_histograms["batch.group_size"]["min"] == stragglers
+    for i, scenario in enumerate(scenarios):
+        assert batched[i] == nic.run(scenario), i
+    speedup, adopt_s, loop_s = 0.0, 0.0, 0.0
     for _ in range(3):  # re-measure up to 3x before failing
-        recorder = TraceRecorder()
-        with use_recorder(recorder):
-            start = time.process_time()
-            for _ in range(ADOPT_CALLS):
-                solve_batch(
-                    nic, scenarios, on_error="return", pad_small_groups=True
-                )
-            adopt_s = time.process_time() - start
-        adoptions = int(
-            recorder.exec_counters.get("batch.adoptions", 0) // ADOPT_CALLS
-        )
         start = time.process_time()
         for _ in range(ADOPT_CALLS):
-            solve_batch(
-                nic, scenarios, on_error="return", pad_small_groups=False
-            )
-        scalar_s = time.process_time() - start
-        speedup = max(speedup, scalar_s / adopt_s)
+            solve_batch(nic, scenarios, on_error="return")
+        adopt_s = time.process_time() - start
+        start = time.process_time()
+        for _ in range(ADOPT_CALLS):
+            [nic.run(scenario) for scenario in scenarios]
+        loop_s = time.process_time() - start
+        speedup = max(speedup, loop_s / adopt_s)
         if speedup >= MIN_ADOPTION_SPEEDUP:
             break
-    benchmark.extra_info["adoption_vs_scalar_speedup"] = round(speedup, 2)
+    benchmark.extra_info["adoption_vs_loop_speedup"] = round(speedup, 2)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print(
-        f"\n# adoption: adoptions/call={adoptions} "
-        f"adopt={adopt_s * 1e3 / ADOPT_CALLS:.1f}ms "
-        f"scalar={scalar_s * 1e3 / ADOPT_CALLS:.1f}ms "
+        f"\n# adoption: stragglers/call={stragglers} "
+        f"batch={adopt_s * 1e3 / ADOPT_CALLS:.1f}ms "
+        f"loop={loop_s * 1e3 / ADOPT_CALLS:.1f}ms "
         f"speedup={speedup:.2f}x"
     )
-    assert adoptions == expected_adoptions  # every small sig embedded
     assert speedup >= MIN_ADOPTION_SPEEDUP

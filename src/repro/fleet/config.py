@@ -158,6 +158,10 @@ class FleetConfig:
             raise ConfigurationError("quota must be >= 1")
         if not self.nf_pool:
             raise ConfigurationError("nf_pool must name at least one NF")
+        if self.mean_lifetime < 1:
+            # ChurnProcess's own bound, checked here so a config that
+            # constructs also simulates.
+            raise ConfigurationError("mean_lifetime must be >= 1 epoch")
         # Normalise a list (e.g. straight from JSON) into a tuple.
         object.__setattr__(self, "nf_pool", tuple(self.nf_pool))
         parse_nic_mix(self.nic_mix)  # validates targets and weights

@@ -25,10 +25,12 @@ That drives three design rules:
 2. **Group by structure.** Scenarios are bucketed by a structural
    signature (workload patterns, stage layouts, accelerator usage, DMA
    actors) so that every scenario in a group shares the same set of
-   arrays and the same control-flow skeleton. The one reduction the
-   scalar solver performs with ``np.sum`` (occupancy pressure) is
-   evaluated per equal-hungry-mask row group on contiguous column
-   slices, which reproduces numpy's pairwise summation exactly.
+   arrays and the same control-flow skeleton; the scenarios left over
+   share one padded layout that every signature embeds into. The one
+   reduction the scalar solver performs with ``np.sum`` (occupancy
+   pressure) is evaluated per equal-hungry-count row group on
+   contiguous gathered blocks, which reproduces numpy's pairwise
+   summation exactly.
 3. **Scalar libm where numpy's SIMD differs.** ``x ** 0.7`` in the
    occupancy solver goes through ``math.pow`` per element: numpy's
    vectorized ``pow`` is 1 ulp off libm's scalar ``pow`` for some
@@ -61,7 +63,7 @@ from repro.nic.memory import (
 from repro.nic.spec import CACHE_LINE_BYTES
 from repro.nic.workload import ExecutionPattern, Resource, WorkloadDemand
 from repro.obs import active_recorder
-from repro.rng import derive_seed, make_rng
+from repro.rng import derive_seeds, make_rng
 
 #: The DMA memory actor's reuse locality: SmartNic._memory_actors builds
 #: it without hot-fraction arguments, so it inherits MemoryActor's
@@ -103,9 +105,8 @@ class _CompileCache:
 
     Everything cached here is *static* — a pure function of the demand
     values and the NIC spec (plans, signature embeddings, column
-    layouts, family-merge structures) — so reuse is bit-exact by
-    construction: a cache hit returns the identical objects a cold
-    compile would have produced. Nothing about solver iterates or
+    layouts) — so reuse is bit-exact by construction: a cache hit
+    returns the identical objects a cold compile would have produced. Nothing about solver iterates or
     seeded noise lives here.
 
     The plan table is keyed by ``(id(spec), _demand_key(demand))`` and
@@ -120,8 +121,7 @@ class _CompileCache:
     whole cost of a cache hit.)
     """
 
-    __slots__ = ("enabled", "hits", "misses", "plans", "embeddings",
-                 "columns", "families")
+    __slots__ = ("enabled", "hits", "misses", "plans", "embeddings", "columns")
 
     def __init__(self) -> None:
         self.enabled = True
@@ -130,13 +130,11 @@ class _CompileCache:
         self.plans: dict = {}
         self.embeddings: dict = {}
         self.columns: dict = {}
-        self.families: dict = {}
 
     def clear(self) -> None:
         self.plans.clear()
         self.embeddings.clear()
         self.columns.clear()
-        self.families.clear()
 
 
 _COMPILE_CACHE = _CompileCache()
@@ -312,46 +310,13 @@ class _ScenarioPlan:
         self.signature = tuple(p.signature for p in self.workloads)
 
 
-def _shortest_supersequence(a: tuple, b: tuple) -> tuple:
-    """Shortest common supersequence of two workload-signature tuples.
-
-    Classic LCS-based construction; both inputs embed into the result
-    as subsequences, so scenarios of either signature can share one
-    padded super-group built on it.
-    """
-    n, m = len(a), len(b)
-    lcs = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            if a[i] == b[j]:
-                lcs[i][j] = lcs[i + 1][j + 1] + 1
-            else:
-                lcs[i][j] = max(lcs[i + 1][j], lcs[i][j + 1])
-    merged: list = []
-    i = j = 0
-    while i < n and j < m:
-        if a[i] == b[j]:
-            merged.append(a[i])
-            i += 1
-            j += 1
-        elif lcs[i + 1][j] >= lcs[i][j + 1]:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged)
-
-
 class _ColumnRef:
-    """Column structure of a padded super-group, built from a signature.
+    """Column structure of a padded group, built from a signature.
 
-    A family's super-signature may be synthesized (a supersequence of
-    its members' signatures), so no single real scenario spans every
-    column; the per-workload signature carries everything the group
-    needs to lay a column out — pattern, stage kinds, accelerator names
+    The universal layout's super-signature is synthesized (see
+    :func:`_universal_signature`), so no single real scenario spans
+    every column; the per-workload signature carries everything the
+    group needs to lay a column out — pattern, stage kinds, accelerator names
     and the DMA flag — while all numeric values stay per-row.
     """
 
@@ -413,8 +378,23 @@ def _embed_signature(short: tuple, long: tuple) -> Optional[list[int]]:
     return cols
 
 
+def _universal_signature(plans: list[_ScenarioPlan]) -> tuple:
+    """The one super-signature every scenario of ``plans`` embeds into.
+
+    The distinct workload signatures sorted by repr, repeated K times
+    for K the most residents any scenario has. A scenario's j-th
+    workload finds its signature in repetition j at the latest, so the
+    leftmost embedding of any scenario of at most K workloads succeeds.
+    Pure in the signature set and K, hence independent of scenario
+    order.
+    """
+    distinct = sorted({w for plan in plans for w in plan.signature}, key=repr)
+    depth = max(len(plan.signature) for plan in plans)
+    return tuple(distinct) * depth
+
+
 def _columns_for(super_sig: tuple) -> list[_ColumnRef]:
-    """Column layout of a padded family, memoized in the compile cache."""
+    """Column layout of a padded group, memoized in the compile cache."""
     cache = _COMPILE_CACHE
     if not cache.enabled:
         return [_ColumnRef(wsig) for wsig in super_sig]
@@ -512,18 +492,20 @@ class _View:
 # Group solver
 # ----------------------------------------------------------------------
 class _Group:
-    """All scenarios sharing one structural signature, solved together.
+    """Scenarios solved together on one column layout.
 
-    A *padded super-group* additionally merges scenarios whose signature
-    is a subsequence of the group's column structure: each scenario's
-    workloads occupy the columns of its ``embeddings`` entry, and the
-    remaining columns are masked-out dummy lanes whose rates, working
-    sets and accelerator demands are all zero. Zero lanes contribute
-    exact ``+0.0`` terms to every left-fold reduction, never turn
-    "hungry" in the occupancy water-filling (so the pairwise ``np.sum``
-    runs over exactly the scalar solver's actor set) and never saturate
-    an accelerator water-fill, which keeps the padded solve bit-identical
-    to the scalar solver for every real lane.
+    A *full-lane* group holds scenarios that share one structural
+    signature. The *universal* padded group of a ``solve_batch`` call
+    holds every other scenario on the layout of
+    :func:`_universal_signature`: each scenario's workloads occupy the
+    columns of its ``embeddings`` entry, and the remaining columns are
+    masked-out dummy lanes whose rates, working sets and accelerator
+    demands are all zero. Zero lanes contribute exact ``+0.0`` terms to
+    every left-fold reduction, never turn "hungry" in the occupancy
+    water-filling (so the pairwise ``np.sum`` runs over exactly the
+    scalar solver's actor set) and never saturate an accelerator
+    water-fill, which keeps the padded solve bit-identical to the
+    scalar solver for every real lane.
     """
 
     def __init__(
@@ -724,10 +706,13 @@ class _Group:
     def _solve_occupancy(self, view: _View, access: np.ndarray) -> np.ndarray:
         """Vectorized LLC water-filling (scalar ``solve_occupancy``).
 
-        Rows advance independently; each round, rows sharing the same
-        hungry-actor mask are grouped so the pressure total is an
-        ``np.sum`` over a contiguous column slice — the exact reduction
-        (including numpy's pairwise blocking) the scalar solver runs.
+        Rows advance independently. Each round, rows with the same
+        number of hungry actors are grouped and their hungry columns
+        gathered (in actor order) into one contiguous ``(rows, count)``
+        block, so each row's pressure total is an ``np.sum`` over
+        exactly its hungry pressures — the reduction (including numpy's
+        pairwise blocking, which depends only on the count) the scalar
+        solver runs.
         """
         llc = self._spec.llc_bytes
         wss = view.act_wss
@@ -737,17 +722,18 @@ class _Group:
         remaining = np.full(view.n, float(llc))
         hungry = active.copy()
         alive = active.any(axis=1)
-        bits = 1 << np.arange(self.A, dtype=np.int64)
-        all_cols = np.arange(self.A)
         for _ in range(_OCCUPANCY_ITERATIONS):
             alive &= hungry.any(axis=1) & (remaining > 0.0)
             rows_alive = np.flatnonzero(alive)
             if len(rows_alive) == 0:
                 break
-            keys = hungry[rows_alive] @ bits
-            for key in sorted(set(keys.tolist())):
-                rows = rows_alive[keys == key]
-                cols = all_cols[(key >> all_cols) & 1 == 1]
+            counts = hungry[rows_alive].sum(axis=1)
+            for count in np.unique(counts).tolist():
+                rows = rows_alive[counts == count]
+                # Each row's hungry columns, ascending: stable-sorting
+                # the negated mask puts them first, in order.
+                cols = np.argsort(~hungry[rows], axis=1, kind="stable")
+                cols = cols[:, :count]
                 rows_c = rows[:, None]
                 pres = pressure[rows_c, cols]
                 total = pres.sum(axis=1)
@@ -758,6 +744,7 @@ class _Group:
                     if len(rows) == 0:
                         continue
                     rows_c = rows[:, None]
+                    cols = cols[positive]
                     pres = pres[positive]
                     total = total[positive]
                 shares = remaining[rows_c] * pres / total[:, None]
@@ -765,18 +752,19 @@ class _Group:
                 sat = need <= shares
                 any_sat = sat.any(axis=1)
                 if any_sat.any():
-                    for j, col in enumerate(cols):
+                    for j in range(count):
                         hit = any_sat & sat[:, j]
                         if not hit.any():
                             continue
                         r = rows[hit]
+                        col = cols[hit, j]
                         occupancy[r, col] += need[hit, j]
                         remaining[r] -= need[hit, j]
                         hungry[r, col] = False
                 no_sat = ~any_sat
                 if no_sat.any():
                     r = rows[no_sat]
-                    occupancy[r[:, None], cols] += shares[no_sat]
+                    occupancy[r[:, None], cols[no_sat]] += shares[no_sat]
                     remaining[r] = 0.0
                     alive[r] = False
         return occupancy
@@ -839,82 +827,83 @@ class _Group:
             "dram_writes": dram_writes,
         }
 
-    def _waterfill_capacity(
-        self,
-        target_pos: int,
+    @staticmethod
+    def _waterfill_targets(
         teff: list[np.ndarray],
         nq: list[np.ndarray],
         offered: list[np.ndarray],
-        discard: Optional[np.ndarray] = None,
+        done: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized RR water-filling for one closed-loop target.
+        """Vectorized RR water-filling for every closed-loop target at once.
 
-        ``offered[target_pos]`` is ignored (the target saturates its
-        queues and is never released); other clients are open-loop with
-        per-row offered rates. Returns (target rate, failed-row mask).
+        Row ``t`` of the ``(targets, rows)`` state is the scalar
+        ``capacity_for(client t, others)``: client ``t`` saturates its
+        queues and is never released, every other client is open-loop
+        at its per-row offered rate. Returns (target rates, failed mask),
+        both ``(targets, rows)``.
 
-        ``discard`` marks rows whose result the caller throws away (the
-        target is one of their dummy lanes). They start ``done``: a
-        dummy target anchors the weight fold at zero, which lets the
-        move/release rounds oscillate to the iteration cap, and one
-        such row keeps the whole group's round loop spinning. Rows are
-        element-wise independent throughout, so skipping them leaves
-        every other row's trajectory bit-identical.
+        Folds keep the scalar order per element. Per client ``j`` the
+        state is ``(targets, rows)`` arrays in which row ``j`` (the
+        client as its own target) is never a competitor: its load reads
+        ``0.0``, its saturation flag stays clear and its offered rate
+        reads ``-inf``, so it never moves. ``busy`` sums the
+        unsaturated competitors in client order, and ``weight`` starts
+        with the target's term and adds the saturated competitors in
+        order; the target's own column adds ``+0.0`` to both. Adding
+        ``+0.0`` to a non-negative sum is exact, so each row is
+        bit-identical to its own per-target round loop while every
+        round costs O(clients) numpy calls for all targets together.
+
+        ``done`` marks (target, row) pairs whose result the caller throws
+        away (the target is one of the row's dummy lanes). They start
+        finished: a dummy target anchors the weight fold at zero, which
+        lets the move/release rounds oscillate to the iteration cap.
+        Elements are independent throughout, so skipping them leaves
+        every other element's trajectory bit-identical.
         """
-        n = len(teff)
-        size = len(teff[target_pos])
-        if n == 1:
-            # allocate() with one closed-loop client resolves in one
-            # round: spare = 1.0, weight = t_eff * n_queues.
-            weight = teff[0] * nq[0]
-            rate = nq[0] * (1.0 / weight)
-            return rate, np.zeros(size, dtype=bool)
-        sat = [np.zeros(size, dtype=bool) for _ in range(n)]
-        sat[target_pos][:] = True
-        done = (
-            discard.copy() if discard is not None
-            else np.zeros(size, dtype=bool)
-        )
-        rate = np.ones(size)
+        n, size = done.shape
+        load, demand = [], []
+        for j in range(n):
+            load_j = np.repeat((offered[j] * teff[j])[None, :], n, axis=0)
+            load_j[j] = 0.0
+            load.append(load_j)
+            demand_j = np.repeat(offered[j][None, :], n, axis=0)
+            demand_j[j] = -np.inf
+            demand.append(demand_j)
+        share = [t * q for t, q in zip(teff, nq)]
+        weight0 = np.stack(share)
+        nq_t = np.stack(nq)
+        sat = [np.zeros((n, size), dtype=bool) for _ in range(n)]
+        rate = np.ones((n, size))
+        done = done.copy()
         for _ in range(_WATERFILL_ITERATIONS):
             act = ~done
             if not act.any():
                 break
-            busy = np.zeros(size)
+            busy = np.zeros((n, size))
+            weight = weight0
             for j in range(n):
-                if j == target_pos:
-                    continue
-                busy = busy + np.where(~sat[j], offered[j] * teff[j], 0.0)
-            # capacity_for() allocates [saturated_target] + competitors,
-            # so the scalar weight fold starts with the target's term;
-            # the remaining clients follow in their original order.
-            weight = teff[target_pos] * nq[target_pos]
-            for j in range(n):
-                if j == target_pos:
-                    continue
-                weight = weight + np.where(sat[j], teff[j] * nq[j], 0.0)
+                busy = busy + np.where(sat[j], 0.0, load[j])
+                weight = weight + np.where(sat[j], share[j], 0.0)
             spare = np.maximum(0.0, 1.0 - busy)
             per_queue = np.where(
                 weight > 0.0, spare / np.where(weight > 0.0, weight, 1.0), 0.0
             )
-            moved = np.zeros(size, dtype=bool)
+            fair = [q * per_queue for q in nq]
+            moved = np.zeros((n, size), dtype=bool)
             for j in range(n):
-                if j == target_pos:
-                    continue
-                mv = act & ~sat[j] & (offered[j] > nq[j] * per_queue + 1e-12)
+                mv = act & ~sat[j] & (demand[j] > fair[j] + 1e-12)
                 sat[j] |= mv
                 moved |= mv
-            release_rows = act & ~moved
-            released = np.zeros(size, dtype=bool)
+            release = act & ~moved
+            released = np.zeros((n, size), dtype=bool)
             for j in range(n):
-                if j == target_pos:
-                    continue
-                rl = release_rows & sat[j] & (offered[j] < nq[j] * per_queue - 1e-12)
+                rl = release & sat[j] & (demand[j] < fair[j] - 1e-12)
                 sat[j] &= ~rl
                 released |= rl
-            final = act & ~moved & ~released
+            final = release & ~released
             if final.any():
-                rate[final] = (nq[target_pos] * per_queue)[final]
+                rate = np.where(final, nq_t * per_queue, rate)
                 done |= final
         return rate, ~done
 
@@ -925,22 +914,21 @@ class _Group:
         capacities: dict[tuple[int, str], np.ndarray] = {}
         failed = np.zeros(view.n, dtype=bool)
         for engine in view.engines:
-            offered = [
-                thr[:, w] * engine["req"][pos]
-                for pos, w in enumerate(engine["clients"])
-            ]
-            for pos, w in enumerate(engine["clients"]):
-                cap_requests, fail = self._waterfill_capacity(
-                    pos,
-                    engine["teff"],
-                    engine["nq"],
-                    offered,
-                    discard=~view.lane[:, w] if self._padded else None,
-                )
-                # A dummy lane's water-fill result is discarded, so a
-                # non-converged fill there must not fail the row.
-                failed |= fail & view.lane[:, w] if self._padded else fail
-                capacities[(w, engine["name"])] = cap_requests / engine["req"][pos]
+            clients = engine["clients"]
+            teff, nq, req = engine["teff"], engine["nq"], engine["req"]
+            if len(clients) == 1:
+                # allocate() with one closed-loop client resolves in one
+                # round: spare = 1.0, weight = t_eff * n_queues.
+                rates = [nq[0] * (1.0 / (teff[0] * nq[0]))]
+            else:
+                offered = [thr[:, w] * req[pos] for pos, w in enumerate(clients)]
+                # Dummy-lane targets start done: their result is
+                # discarded, so a fill there can never fail the row.
+                discard = ~np.stack([view.lane[:, w] for w in clients])
+                rates, fail = self._waterfill_targets(teff, nq, offered, discard)
+                failed |= fail.any(axis=0)
+            for pos, w in enumerate(clients):
+                capacities[(w, engine["name"])] = rates[pos] / req[pos]
         return capacities, failed
 
     def _core_times(
@@ -1286,22 +1274,33 @@ class _Group:
             )
         return per_wl, dram_util
 
+    def _noises(self, plans: list[_ScenarioPlan]) -> list[float]:
+        """Measurement-noise factors of every (scenario, workload) pair.
+
+        :meth:`SmartNic._noise_for` per workload, in scenario then
+        workload order, with every seed of the group derived in one
+        lane-parallel :func:`derive_seeds` call.
+        """
+        nic = self._nic
+        if nic._noise_std == 0.0:
+            return [1.0] * sum(len(plan.workloads) for plan in plans)
+        keys = []
+        for plan in plans:
+            reps = [repr(p.demand) for p in plan.workloads]
+            sorted_reps = tuple(sorted(reps))
+            keys.extend((rep, sorted_reps) for rep in reps)
+        return [
+            float(1.0 + make_rng(seed).normal(0.0, nic._noise_std))
+            for seed in derive_seeds(nic._seed, keys)
+        ]
+
     def _assemble_results(
         self, idx, thr, iterations, per_wl, dram_util, results
     ) -> None:
-        nic = self._nic
+        plans = [self._plans[scenario_row] for scenario_row in idx]
+        noises = iter(self._noises(plans))
         for row, scenario_row in enumerate(idx):
-            plan = self._plans[scenario_row]
-            demands = [p.demand for p in plan.workloads]
-            if nic._noise_std == 0.0:
-                noises = [1.0] * len(demands)
-            else:
-                reps = [repr(d) for d in demands]
-                sorted_reps = tuple(sorted(reps))
-                noises = []
-                for rep in reps:
-                    rng = make_rng(derive_seed(nic._seed, rep, sorted_reps))
-                    noises.append(float(1.0 + rng.normal(0.0, nic._noise_std)))
+            plan = plans[row]
             workload_results = {}
             for j, wplan in enumerate(plan.workloads):
                 w = self.embeddings[scenario_row][j]
@@ -1332,7 +1331,7 @@ class _Group:
                 rate = float(thr[row, w])
                 workload_results[wplan.name] = _nic.WorkloadResult(
                     name=wplan.name,
-                    throughput_mpps=rate * noises[j],
+                    throughput_mpps=rate * next(noises),
                     true_throughput_mpps=rate,
                     counters=counters,
                     stages=tuple(stages),
@@ -1352,123 +1351,35 @@ class _Group:
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-#: Signature groups smaller than this solve through the scalar solver:
-#: below ~3 rows the vectorized sweep's per-iteration numpy dispatch
-#: costs more than the scalar Python sweep, so heterogeneous batches
-#: (e.g. a fleet epoch whose NICs host structurally diverse mixes)
-#: would otherwise run *slower* batched than looped. The fallback is
-#: observation-free: the scalar solver is the bit-exactness oracle the
-#: vectorized path must reproduce anyway. Small groups whose signatures
-#: embed into one another first merge into padded super-groups (see
-#: :class:`_Group`), so only unmergeable stragglers pay the scalar path.
+#: Signature groups of at least this many scenarios solve as full-lane
+#: groups; smaller ones form the call's remainder. Below ~3 rows the
+#: vectorized sweep's per-iteration numpy dispatch costs more than the
+#: scalar Python sweep. The fallback is observation-free: the scalar
+#: solver is the bit-exactness oracle the vectorized path must
+#: reproduce anyway.
 _SCALAR_FALLBACK_GROUP_SIZE = 3
 
-
-#: Widest super-signature a padded family may grow to. Wider families
-#: merge more stragglers into one vectorized solve but pay per-iteration
-#: work proportional to their column count; past ~2x a typical mix size
-#: the dummy lanes start eating the win.
-_PAD_MAX_WIDTH = 8
-
-
-def _merge_small_groups(
-    small: list[tuple[tuple, list[_ScenarioPlan], list[int]]],
-) -> tuple[list, list]:
-    """Merge small signature groups into padded super-group families.
-
-    Greedy and deterministic: signatures are visited longest first (ties
-    broken by repr). Each joins the first family whose super-signature
-    already contains it as a subsequence; otherwise the first family
-    whose super-signature can *grow* (shortest common supersequence)
-    within :data:`_PAD_MAX_WIDTH` absorbs it; otherwise it roots a new
-    family. Growth keeps every earlier member embeddable (a subsequence
-    of the old root is a subsequence of any supersequence of it).
-    Families that gather at least :data:`_SCALAR_FALLBACK_GROUP_SIZE`
-    scenarios across two or more signatures solve as one padded
-    vectorized group; everything else stays on the scalar path.
-
-    Returns ``(merged, leftovers)``: ``merged`` holds
-    ``(columns_sig, members)`` where each member is ``(sig, plans,
-    indices)``, ``leftovers`` holds ``(plan, index)`` pairs.
-
-    The family *structure* (which signatures form which families, and
-    each family's super-signature) depends only on the multiset of
-    (signature, group size) pairs — the greedy visit order is a total
-    order over the distinct signatures, independent of input order —
-    so it is memoized in the compile cache and replayed against the
-    call's own plans/indices on a hit.
-    """
-    by_sig = {sig: (plans, indices) for sig, plans, indices in small}
-    cache = _COMPILE_CACHE
-    key = tuple(
-        sorted(
-            ((sig, len(plans)) for sig, plans, _ in small),
-            key=lambda entry: repr(entry[0]),
-        )
-    )
-    cached = cache.families.get(key) if cache.enabled else None
-    if cached is None:
-        order = sorted(small, key=lambda entry: (-len(entry[0]), repr(entry[0])))
-        families: list[dict] = []
-        for sig, plans, indices in order:
-            placed = False
-            for family in families:
-                if _embed_signature(sig, family["sig"]) is not None:
-                    family["members"].append(sig)
-                    placed = True
-                    break
-            if not placed:
-                for family in families:
-                    grown = _shortest_supersequence(family["sig"], sig)
-                    if len(grown) <= _PAD_MAX_WIDTH:
-                        family["sig"] = grown
-                        family["members"].append(sig)
-                        placed = True
-                        break
-            if not placed:
-                families.append({"sig": sig, "members": [sig]})
-
-        merged_sigs: list[tuple[tuple, tuple]] = []
-        leftover_sigs: list[tuple] = []
-        for family in families:
-            member_sigs = family["members"]
-            total = sum(len(by_sig[sig][0]) for sig in member_sigs)
-            if len(member_sigs) > 1 and total >= _SCALAR_FALLBACK_GROUP_SIZE:
-                merged_sigs.append((family["sig"], tuple(member_sigs)))
-            else:
-                leftover_sigs.extend(member_sigs)
-        cached = (tuple(merged_sigs), tuple(leftover_sigs))
-        if cache.enabled:
-            if len(cache.families) >= _COMPILE_CACHE_MAX_ENTRIES:
-                cache.families.clear()
-            cache.families[key] = cached
-
-    merged_sigs, leftover_sigs = cached
-    merged = [
-        (family_sig, [(sig, *by_sig[sig]) for sig in member_sigs])
-        for family_sig, member_sigs in merged_sigs
-    ]
-    leftovers = [
-        (plan, index)
-        for sig in leftover_sigs
-        for plan, index in zip(*by_sig[sig])
-    ]
-    return merged, leftovers
+#: The remainder solves as one universal padded group (see
+#: :class:`_Group`) only when its real lanes number at least this many
+#: times the layout's width; otherwise its scenarios take the scalar
+#: solver. A sweep costs the group a fixed set of numpy calls per
+#: column, several times what the scalar solver spends per resident
+#: (~2 ms per sweep at 24 columns, against ~0.33 ms per 8-resident
+#: scalar scenario). At 1-2.4 lanes per column (the 3-6-scenario
+#: remainders of predictor training) a padded solve ran at 0.4-0.8x the
+#: scalar loop, while deep Pensando mixes (8+ lanes per column) run at
+#: ~5x. As lanes never exceed rows x width, the bound also implies at
+#: least 4 rows.
+_PAD_MIN_LANES_PER_COLUMN = 4
 
 
 def solve_batch(
     nic: "_nic.SmartNic",
     scenarios: list[list[WorkloadDemand]],
     on_error: str = "raise",
-    pad_small_groups: bool = True,
     warm_starts: Optional[list] = None,
 ):
     """Solve many co-location scenarios; see :meth:`SmartNic.run_batch`.
-
-    ``pad_small_groups=False`` disables the padded super-group merge
-    *and* straggler adoption and reverts every small signature group to
-    the scalar fallback (the heterogeneous-fleet benchmark uses this as
-    its reference arm).
 
     ``warm_starts`` is aligned with ``scenarios``: per entry ``None``
     (cold) or a name→Mpps mapping seeding that scenario's initial
@@ -1498,141 +1409,57 @@ def solve_batch(
                 "batch.compile_cache.misses", cache.misses - misses0
             )
 
-    def warm_vector(plan: _ScenarioPlan, index: int):
-        if warm_starts is None:
-            return None
-        warm = warm_starts[index]
-        if not warm:
-            return None
-        values = [warm.get(p.name) for p in plan.workloads]
-        if all(v is None for v in values):
-            return None
-        return values
-
     def warm_list(plans: list[_ScenarioPlan], indices: list[int]):
         if warm_starts is None:
             return None
-        values = [warm_vector(p, i) for p, i in zip(plans, indices)]
+        values = []
+        for plan, index in zip(plans, indices):
+            warm = warm_starts[index]
+            row = [warm.get(p.name) for p in plan.workloads] if warm else None
+            values.append(
+                row if row and any(v is not None for v in row) else None
+            )
         if all(v is None for v in values):
             return None
         return values
 
-    big: list[tuple[tuple, list[_ScenarioPlan], list[int]]] = []
-    small: list[tuple[tuple, list[_ScenarioPlan], list[int]]] = []
-    for sig, (plans, indices) in groups.items():
-        if len(plans) < _SCALAR_FALLBACK_GROUP_SIZE:
-            small.append((sig, plans, indices))
+    def solve(plans, indices, **layout) -> None:
+        obs.exec_histogram("batch.group_size", len(plans))
+        group = _Group(
+            nic, plans, indices, warm=warm_list(plans, indices), **layout
+        )
+        for local, outcome in enumerate(group.solve()):
+            results[indices[local]] = outcome
+
+    rest_plans: list[_ScenarioPlan] = []
+    rest_indices: list[int] = []
+    for plans, indices in groups.values():
+        if len(plans) >= _SCALAR_FALLBACK_GROUP_SIZE:
+            solve(plans, indices)
         else:
-            big.append((sig, plans, indices))
+            rest_plans.extend(plans)
+            rest_indices.extend(indices)
 
-    # Straggler adoption: a small group whose signature embeds into a
-    # big group's columns rides along as masked lanes instead of paying
-    # the scalar fallback or growing a padded family. Both sides are
-    # visited in the deterministic longest-first/repr order, first fit
-    # wins, and the big group's columns never grow — its own rows stay
-    # full-lane, so the proven all-zero-dummy-lane argument keeps every
-    # real lane bit-identical to the scalar solver.
-    adopted: dict[int, list[tuple[tuple, list[_ScenarioPlan], list[int]]]] = {}
-    if pad_small_groups and small and big:
-        big_order = sorted(
-            range(len(big)), key=lambda k: (-len(big[k][0]), repr(big[k][0]))
-        )
-        remaining = []
-        for sig, plans, indices in sorted(
-            small, key=lambda entry: (-len(entry[0]), repr(entry[0]))
-        ):
-            for k in big_order:
-                if (
-                    len(sig) <= len(big[k][0])
-                    and _embed_signature(sig, big[k][0]) is not None
-                ):
-                    adopted.setdefault(k, []).append((sig, plans, indices))
-                    break
-            else:
-                remaining.append((sig, plans, indices))
-        small = remaining
-
-    for k, (sig, plans, indices) in enumerate(big):
-        members = adopted.get(k)
-        if not members:
-            obs.exec_histogram("batch.group_size", len(plans))
-            group = _Group(
-                nic, plans, indices, warm=warm_list(plans, indices)
-            )
-            for local, outcome in enumerate(group.solve()):
-                results[indices[local]] = outcome
-            continue
-        all_plans = list(plans)
-        all_indices = list(indices)
-        all_embeds: list[list[int]] = [list(range(len(sig)))] * len(plans)
-        for m_sig, m_plans, m_indices in members:
-            cols = _embed_signature(m_sig, sig)
-            all_plans.extend(m_plans)
-            all_indices.extend(m_indices)
-            all_embeds.extend([cols] * len(m_plans))
-        if obs.enabled:
-            obs.exec_histogram("batch.group_size", len(all_plans))
+    if rest_plans:
+        super_sig = _universal_signature(rest_plans)
+        lanes = sum(len(plan.signature) for plan in rest_plans)
+        if lanes >= _PAD_MIN_LANES_PER_COLUMN * len(super_sig):
             obs.exec_counter(
-                "batch.adoptions",
-                sum(len(m_plans) for _, m_plans, _ in members),
+                "batch.padded_lanes", len(rest_plans) * len(super_sig) - lanes
             )
-            obs.exec_counter(
-                "batch.padded_lanes",
-                sum(
-                    len(m_plans) * (len(sig) - len(m_sig))
-                    for m_sig, m_plans, _ in members
-                ),
+            solve(
+                rest_plans,
+                rest_indices,
+                columns=_columns_for(super_sig),
+                embeddings=[
+                    _embed_signature(plan.signature, super_sig)
+                    for plan in rest_plans
+                ],
             )
-        group = _Group(
-            nic,
-            all_plans,
-            all_indices,
-            embeddings=all_embeds,
-            warm=warm_list(all_plans, all_indices),
-        )
-        for local, outcome in enumerate(group.solve()):
-            results[all_indices[local]] = outcome
-
-    if pad_small_groups and len(small) > 1:
-        merged, leftovers = _merge_small_groups(small)
-    else:
-        merged = []
-        leftovers = [
-            (plan, index)
-            for _, plans, indices in small
-            for plan, index in zip(plans, indices)
-        ]
-    for super_sig, members in merged:
-        all_plans = []
-        all_indices = []
-        all_embeds = []
-        for sig, plans, indices in members:
-            cols = _embed_signature(sig, super_sig)
-            all_plans.extend(plans)
-            all_indices.extend(indices)
-            all_embeds.extend([cols] * len(plans))
-        if obs.enabled:
-            obs.exec_histogram("batch.group_size", len(all_plans))
-            obs.exec_counter(
-                "batch.padded_lanes",
-                sum(
-                    len(plans) * (len(super_sig) - len(sig))
-                    for sig, plans, _ in members
-                ),
-            )
-        group = _Group(
-            nic,
-            all_plans,
-            all_indices,
-            columns=_columns_for(super_sig),
-            embeddings=all_embeds,
-            warm=warm_list(all_plans, all_indices),
-        )
-        for local, outcome in enumerate(group.solve()):
-            results[all_indices[local]] = outcome
-    if leftovers:
-        obs.exec_counter("batch.scalar_scenarios", len(leftovers))
-    for plan, index in leftovers:
+            rest_plans, rest_indices = [], []
+    if rest_plans:
+        obs.exec_counter("batch.scalar_scenarios", len(rest_plans))
+    for plan, index in zip(rest_plans, rest_indices):
         demands = [p.demand for p in plan.workloads]
         warm = warm_starts[index] if warm_starts is not None else None
         try:

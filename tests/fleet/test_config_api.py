@@ -61,6 +61,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             FleetConfig(**kwargs)
 
+    def test_rejects_mean_lifetime_below_one_epoch(self):
+        # Used to construct and then fail inside simulate() when the
+        # churn process was built.
+        with pytest.raises(ConfigurationError, match="mean_lifetime"):
+            FleetConfig(policy="greedy", mean_lifetime=0.5)
+        FleetConfig(policy="greedy", mean_lifetime=1.0).churn()
+
     def test_nf_pool_list_normalised_to_tuple(self):
         config = FleetConfig(nf_pool=["flowstats", "nat"])
         assert config.nf_pool == ("flowstats", "nat")

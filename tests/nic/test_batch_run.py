@@ -299,11 +299,11 @@ class TestBatchedSums:
 
 
 class TestPaddedSuperGroups:
-    """Small signature groups merge into padded super-groups, bit-exact."""
+    """Small signature groups share one universal padded group, bit-exact."""
 
     #: Structurally diverse mixes (A = table-driven, B = regex user) with
     #: at most two scenarios per signature, so every group is below the
-    #: scalar-fallback threshold and must merge to vectorize at all.
+    #: scalar-fallback threshold and must pad to vectorize at all.
     MIXES = [
         ("flowstats", "nat", "nids", "acl"),
         ("flowstats", "nids", "nat", "acl"),
@@ -342,80 +342,192 @@ class TestPaddedSuperGroups:
         for i, scenario in enumerate(scenarios):
             assert_identical(nic.run(scenario), batch[i], f"padded {i}")
 
-    def test_padded_merge_matches_disabled_padding(self):
-        from repro.nic.batch import solve_batch
-
+    def test_padded_merge_matches_scalar_oracle_on_pensando(self):
         nic = SmartNic(pensando_spec(), seed=9)
         scenarios = [s for s in self._scenarios(make_rng(5)) if all(
             stage.accelerator in (None, "regex")
             for demand in s
             for stage in demand.stages
         )]
-        padded = solve_batch(nic, scenarios, pad_small_groups=True)
-        scalar = solve_batch(nic, scenarios, pad_small_groups=False)
-        for i in range(len(scenarios)):
-            assert_identical(scalar[i], padded[i], f"scenario {i}")
+        batch = nic.run_batch(scenarios)
+        for i, scenario in enumerate(scenarios):
+            assert_identical(nic.run(scenario), batch[i], f"scenario {i}")
 
     def test_padding_engages_on_this_workload(self):
-        """The merge must actually form padded families here (the
-        equivalence above would pass vacuously on the scalar path)."""
-        from repro.nic.batch import (
-            _SCALAR_FALLBACK_GROUP_SIZE,
-            _ScenarioPlan,
-            _merge_small_groups,
-        )
+        """Every scenario must solve in the one universal padded group
+        here (the equivalence above would pass vacuously on the scalar
+        path)."""
+        from repro.nic.batch import _SCALAR_FALLBACK_GROUP_SIZE, _ScenarioPlan
+        from repro.obs import TraceRecorder, use_recorder
 
         nic = SmartNic(bluefield2_spec(), seed=123)
-        groups = {}
-        for i, scenario in enumerate(self._scenarios(make_rng(31))):
-            plan = _ScenarioPlan(nic, scenario)
-            plans, indices = groups.setdefault(plan.signature, ([], []))
-            plans.append(plan)
-            indices.append(i)
-        small = [
-            (sig, plans, indices)
-            for sig, (plans, indices) in groups.items()
-            if len(plans) < _SCALAR_FALLBACK_GROUP_SIZE
-        ]
-        assert len(small) >= 10  # the workload is genuinely fragmented
-        merged, leftovers = _merge_small_groups(small)
-        merged_rows = sum(
-            len(plans) for _, members in merged for _, plans, _ in members
-        )
-        assert merged_rows >= 16  # most scenarios vectorize via padding
-        for super_sig, members in merged:
-            for sig, _, _ in members:
-                assert len(sig) <= len(super_sig)
+        scenarios = self._scenarios(make_rng(31))
+        sizes: dict = {}
+        for scenario in scenarios:
+            sig = _ScenarioPlan(nic, scenario).signature
+            sizes[sig] = sizes.get(sig, 0) + 1
+        assert len(sizes) >= 10  # the workload is genuinely fragmented
+        assert max(sizes.values()) < _SCALAR_FALLBACK_GROUP_SIZE
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            nic.run_batch(scenarios)
+        assert "batch.scalar_scenarios" not in recorder.exec_counters
+        assert recorder.exec_counters["batch.padded_lanes"] > 0
+        group_size = recorder.exec_histograms["batch.group_size"]
+        assert group_size["count"] == 1
+        assert group_size["max"] == len(scenarios)
 
     def test_embedding_helper(self):
-        from repro.nic.batch import _embed_signature, _shortest_supersequence
+        from repro.nic.batch import _embed_signature
 
         assert _embed_signature(("a", "b"), ("a", "x", "b")) == [0, 2]
         assert _embed_signature(("a", "a"), ("a", "b", "a")) == [0, 2]
         assert _embed_signature(("b", "a"), ("a", "b")) is None
         assert _embed_signature((), ("a",)) == []
-        scs = _shortest_supersequence(("a", "b", "a"), ("b", "a", "b"))
-        assert _embed_signature(("a", "b", "a"), scs) is not None
-        assert _embed_signature(("b", "a", "b"), scs) is not None
-        assert len(scs) <= 4
+        # The universal layout (distinct signatures repeated K times)
+        # takes any ordering of up to K workloads.
+        layout = ("a", "b", "c") * 3
+        assert _embed_signature(("c", "b", "a"), layout) == [2, 4, 6]
+        assert _embed_signature(("c", "c", "c"), layout) == [2, 5, 8]
+        assert _embed_signature(("c", "c", "c", "c"), layout) is None
 
     def test_mixed_sizes_with_convergence_stragglers(self):
-        """Solos merged with slow multi-NF mixes keep scalar iteration
-        counts (dummy lanes never perturb a row's residual stream)."""
+        """Solos padded together with slow multi-NF mixes keep scalar
+        iteration counts (dummy lanes never perturb a row's residual
+        stream)."""
+        from repro.obs import TraceRecorder, use_recorder
+
         nic = SmartNic(bluefield2_spec(), seed=77)
-        traffic = TrafficProfile()
-        scenarios = [
-            [make_nf("nids").demand(traffic, instance="nids#0")],
-            [
-                make_nf("nids").demand(traffic, instance="nids#0"),
-                make_nf("nids").demand(traffic, instance="nids#1"),
-                make_nf("flowstats").demand(traffic, instance="flowstats#2"),
-            ],
-            [
-                make_nf("flowstats").demand(traffic, instance="flowstats#0"),
-                make_nf("nids").demand(traffic, instance="nids#1"),
-            ],
+        mixes = [
+            ("nids",),
+            ("nids", "nids", "flowstats"),
+            ("flowstats", "nids"),
+            ("flowstats",),
+            ("flowstats", "flowstats"),
+            ("nids", "nids"),
+            ("flowstats", "nids", "nids"),
+            ("nids", "flowstats"),
+            ("nids", "flowstats", "nids"),
+            ("flowstats", "flowstats", "flowstats"),
         ]
-        batch = nic.run_batch(scenarios)
+        scenarios = [
+            [
+                make_nf(name).demand(traffic, instance=f"{name}#{j}")
+                for j, name in enumerate(mix)
+            ]
+            for mix in mixes
+            for traffic in (TrafficProfile(), TrafficProfile(250_000, 64, 900.0))
+        ]
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = nic.run_batch(scenarios)
+        assert "batch.scalar_scenarios" not in recorder.exec_counters
+        iterations = {result.iterations for result in batch}
+        assert len(iterations) > 1  # rows converge at different sweeps
         for i, scenario in enumerate(scenarios):
             assert_identical(nic.run(scenario), batch[i], f"straggler {i}")
+
+
+class TestUniversalLayout:
+    """Deep, diverse mixes: every scenario has its own signature, so
+    the whole batch is remainder and solves on the universal layout."""
+
+    POOL = ("flowmonitor", "flowstats", "nids", "nat", "acl")
+
+    def _deep_mixes(self, count, residents=8, seed=3):
+        """``count`` mixes with pairwise distinct ordered signatures."""
+        from repro.nic.batch import _ScenarioPlan
+
+        probe = SmartNic(pensando_spec())
+        rng = make_rng(seed)
+        scenarios, seen = [], set()
+        while len(scenarios) < count:
+            names = [str(rng.choice(self.POOL)) for _ in range(residents)]
+            scenario = [
+                make_nf(name).demand(
+                    TrafficProfile(
+                        int(rng.integers(5_000, 400_000)),
+                        int(rng.choice([64, 512, 1500])),
+                        float(rng.uniform(0.0, 1000.0)),
+                    ),
+                    instance=f"{name}#{j}",
+                )
+                for j, name in enumerate(names)
+            ]
+            sig = _ScenarioPlan(probe, scenario).signature
+            if sig not in seen:
+                seen.add(sig)
+                scenarios.append(scenario)
+        return scenarios
+
+    def test_noisy_deep_mixes_match_scalar_oracle(self):
+        from repro.obs import TraceRecorder, use_recorder
+
+        nic = SmartNic(pensando_spec(), seed=21)
+        scenarios = self._deep_mixes(16)
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = nic.run_batch(scenarios)
+        assert "batch.scalar_scenarios" not in recorder.exec_counters
+        assert recorder.exec_counters["batch.padded_lanes"] > 0
+        for i, scenario in enumerate(scenarios):
+            loop = nic.run(scenario)
+            assert_identical(loop, batch[i], f"deep {i}")
+            # The noise is live: measured differs from the true rate.
+            assert any(
+                r.throughput_mpps != r.true_throughput_mpps
+                for r in loop.workloads.values()
+            )
+
+    def test_layout_wider_than_a_bitmask(self):
+        """16 one-core residents from four signature classes: the
+        universal layout has 64 workload columns plus DMA actors, more
+        actors than an int64 hungry-mask key can hold."""
+        import dataclasses
+
+        from repro.nic.batch import _ScenarioPlan, _universal_signature
+
+        nic = SmartNic(pensando_spec(), seed=4)
+        pool = ("flowstats", "iptunnel", "flowmonitor", "nids")
+        rng = make_rng(8)
+        scenarios = []
+        for _ in range(20):
+            scenario = []
+            for j in range(16):
+                name = str(rng.choice(pool))
+                demand = make_nf(name).demand(
+                    TrafficProfile(int(rng.integers(5_000, 200_000)), 512, 500.0),
+                    instance=f"{name}#{j}",
+                )
+                scenario.append(dataclasses.replace(demand, cores=1))
+            scenarios.append(scenario)
+        plans = [_ScenarioPlan(nic, s) for s in scenarios]
+        layout = _universal_signature(plans)
+        actors = len(layout) + sum(1 for _, _, dma in layout if dma)
+        assert actors > 64
+        batch = nic.run_batch(scenarios)
+        for i, scenario in enumerate(scenarios):
+            assert_identical(nic.run(scenario), batch[i], f"wide {i}")
+
+    def test_remainder_with_few_lanes_takes_scalar_path(self):
+        """Too few real lanes per column of the universal layout: the
+        remainder solves through ``SmartNic.run``."""
+        from repro.obs import TraceRecorder, use_recorder
+
+        nic = SmartNic(pensando_spec(), seed=21)
+        traffic = TrafficProfile()
+        mixes = [("nids", "nat", "flowmonitor"), ("flowmonitor",), ("acl",)]
+        scenarios = [
+            [
+                make_nf(name).demand(traffic, instance=f"{name}#{j}")
+                for j, name in enumerate(mix)
+            ]
+            for mix in mixes
+        ]
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = nic.run_batch(scenarios)
+        assert recorder.exec_counters["batch.scalar_scenarios"] == 3
+        assert "batch.padded_lanes" not in recorder.exec_counters
+        for i, scenario in enumerate(scenarios):
+            assert_identical(nic.run(scenario), batch[i], f"scalar {i}")

@@ -9,14 +9,13 @@ Three mechanisms, three contracts:
   so warm runs are outside the bit-exactness contract. What *is*
   bit-pinned: warm batch == warm loop, and ``warm_starts=None`` ==
   the historical cold path, bit for bit.
-- **Persistent compilation cache**: memoized plans/embeddings/families
-  are bit-invisible — enabling or clearing the cache never changes a
+- **Persistent compilation cache**: memoized plans/embeddings/column
+  layouts are bit-invisible — enabling or clearing the cache never changes a
   solved byte, only how much setup work ``run_batch`` repeats.
-- **Straggler adoption**: small signature groups ride along inside a
-  big group's padded lanes; the all-zero-dummy-lane argument keeps
-  every scenario bit-identical to the scalar oracle, and the greedy
-  family construction is independent of input order (hypothesis-pinned
-  below).
+- **Straggler adoption**: scenarios outside the big signature groups
+  ride along in one universal padded group; the all-zero-dummy-lane
+  argument keeps every scenario bit-identical to the scalar oracle, and
+  the layout is independent of input order (hypothesis-pinned below).
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ from repro.nic.batch import (
     _COMPILE_CACHE,
     _ScenarioPlan,
     _embed_signature,
-    _merge_small_groups,
+    _universal_signature,
     clear_compile_cache,
     compile_cache_enabled,
     set_compile_cache_enabled,
-    solve_batch,
 )
 from repro.nic.nic import SmartNic
 from repro.nic.spec import bluefield2_spec, pensando_spec
@@ -212,18 +210,27 @@ class TestCompileCache:
         clear_compile_cache()
         assert not _COMPILE_CACHE.plans
         assert not _COMPILE_CACHE.embeddings
-        assert not _COMPILE_CACHE.families
+        assert not _COMPILE_CACHE.columns
         assert _COMPILE_CACHE.misses == misses
 
 
 class TestStragglerAdoption:
-    """Small groups whose signature embeds into a big group's ride
-    along as masked lanes of the big group's arrays."""
+    """Stragglers beside a big signature group ride along as masked
+    lanes of the call's one universal padded group."""
 
     def _scenarios(self):
         rng = make_rng(29)
         big_mix = ("flowstats", "nat", "nids")
-        small_mixes = [("flowstats", "nids"), ("nat",)]
+        # Six small signatures (flowstats and nat share one), two
+        # scenarios each: enough real lanes for the universal layout.
+        small_mixes = [
+            ("flowstats", "nids"),
+            ("nat",),
+            ("nids", "flowstats"),
+            ("nids",),
+            ("nat", "flowstats"),
+            ("nids", "nids"),
+        ] * 2
         scenarios = []
         for _ in range(_SCALAR_FALLBACK_GROUP_SIZE + 2):  # the big group
             traffic = [
@@ -236,7 +243,7 @@ class TestStragglerAdoption:
                     for j, (n, t) in enumerate(zip(big_mix, traffic))
                 ]
             )
-        for mix in small_mixes:  # one straggler scenario per small sig
+        for mix in small_mixes:
             traffic = [
                 TrafficProfile(int(rng.integers(5_000, 300_000)), 512, 700.0)
                 for _ in mix
@@ -258,15 +265,14 @@ class TestStragglerAdoption:
             sigs[plan.signature] = sigs.get(plan.signature, 0) + 1
         big = [s for s, n in sigs.items() if n >= _SCALAR_FALLBACK_GROUP_SIZE]
         small = [s for s, n in sigs.items() if n < _SCALAR_FALLBACK_GROUP_SIZE]
-        assert big and small
-        assert all(
-            any(_embed_signature(s, b) is not None for b in big)
-            for s in small
-        )
+        assert len(big) == 1 and len(small) == 6
         recorder = TraceRecorder()
         with use_recorder(recorder):
             nic.run_batch(scenarios)
-        assert recorder.exec_counters.get("batch.adoptions", 0) >= len(small)
+        assert "batch.scalar_scenarios" not in recorder.exec_counters
+        assert recorder.exec_counters["batch.padded_lanes"] > 0
+        # One full-lane group plus the universal group.
+        assert recorder.exec_histograms["batch.group_size"]["count"] == 2
 
     def test_adopted_scenarios_match_scalar_oracle(self):
         nic = SmartNic(bluefield2_spec(), seed=11)
@@ -275,15 +281,15 @@ class TestStragglerAdoption:
         for i, scenario in enumerate(scenarios):
             assert_identical(nic.run(scenario), batch[i], f"adopted {i}")
 
-    def test_adoption_matches_disabled_padding(self):
+    def test_adoption_matches_scalar_oracle_on_pensando(self):
         nic = SmartNic(pensando_spec(), seed=13)
         scenarios = self._scenarios()
-        padded = solve_batch(nic, scenarios, pad_small_groups=True)
-        scalar = solve_batch(nic, scenarios, pad_small_groups=False)
-        for i in range(len(scenarios)):
-            assert_identical(scalar[i], padded[i], f"scenario {i}")
+        batch = nic.run_batch(scenarios)
+        for i, scenario in enumerate(scenarios):
+            assert_identical(nic.run(scenario), batch[i], f"scenario {i}")
 
     def test_adoption_with_warm_starts(self):
+        """Warm rows in the universal group match the warm scalar solve."""
         nic = SmartNic(bluefield2_spec(), seed=11)
         scenarios = self._scenarios()
         cold = [nic.run(s) for s in scenarios]
@@ -309,25 +315,19 @@ class TestStragglerAdoption:
             assert_identical(base[src], permuted[out_pos], f"perm {src}")
 
 
-class TestFamilyOrderIndependence:
-    """The greedy family construction is a pure function of the group
-    *multiset*: dict insertion order (an accident of scenario order)
-    never changes which families form."""
+class TestUniversalLayout:
+    """The universal super-signature is a pure function of the plan
+    *multiset*: scenario order never changes the layout, and every
+    scenario embeds into it."""
 
-    @staticmethod
-    def _families(small):
-        merged, leftovers = _merge_small_groups(list(small))
-        families = tuple(
-            sorted(
-                (
-                    super_sig,
-                    tuple(sorted(sig for sig, _, _ in members)),
-                )
-                for super_sig, members in merged
-            )
-        )
-        left = tuple(sorted(sig for sig, _, _ in leftovers))
-        return families, left
+    MIXES = [
+        ("flowstats", "nat", "nids"),
+        ("flowstats", "nids"),
+        ("nat", "nids"),
+        ("flowstats",),
+        ("nids",),
+        ("nat",),
+    ]
 
     @given(
         order=st.permutations(list(range(6))),
@@ -336,32 +336,20 @@ class TestFamilyOrderIndependence:
         ),
     )
     @settings(max_examples=40, deadline=None)
-    def test_families_ignore_insertion_order(self, order, sizes):
+    def test_layout_ignores_insertion_order(self, order, sizes):
         nic = SmartNic(bluefield2_spec(), seed=123)
         traffic = TrafficProfile(50_000, 256, 400.0)
-        mixes = [
-            ("flowstats", "nat", "nids"),
-            ("flowstats", "nids"),
-            ("nat", "nids"),
-            ("flowstats",),
-            ("nids",),
-            ("nat",),
-        ]
         groups = []
-        for mix, size in zip(mixes, sizes):
+        for mix, size in zip(self.MIXES, sizes):
             scenario = [
                 make_nf(n).demand(traffic, instance=f"{n}#{j}")
                 for j, n in enumerate(mix)
             ]
-            plan = _ScenarioPlan(nic, scenario)
-            groups.append((plan.signature, [plan] * size, list(range(size))))
-        # The family memo would replay the first-seen answer and mask a
-        # genuine order dependence — run the greedy cold both times.
-        set_compile_cache_enabled(False)
-        try:
-            baseline = self._families(groups)
-            shuffled = self._families([groups[i] for i in order])
-        finally:
-            set_compile_cache_enabled(True)
-            clear_compile_cache()
-        assert baseline == shuffled
+            groups.append([_ScenarioPlan(nic, scenario)] * size)
+        plans = [plan for group in groups for plan in group]
+        shuffled = [plan for i in order for plan in groups[i]]
+        layout = _universal_signature(plans)
+        assert layout == _universal_signature(shuffled)
+        assert len(layout) % 3 == 0  # K = 3 repetitions of the signatures
+        for plan in plans:
+            assert _embed_signature(plan.signature, layout) is not None
