@@ -29,8 +29,8 @@ Two engines share one scoring core:
      *current* traffic).
   5. **Ground-truth scoring** — the simulator runs every NIC's
      resident mix under the epoch's traffic, all uncached mixes in
-     **one** :meth:`SmartNic.run_batch` call per hardware target
-     (``score_mode="batch"``); ``score_mode="loop"`` solves the
+     **one** :meth:`SmartNic.run_batch_throughputs` call per hardware
+     target (``score_mode="batch"``); ``score_mode="loop"`` solves the
      identical scenario lists with per-scenario :meth:`SmartNic.run`
      calls and is the bit-exactness oracle.
 
@@ -46,8 +46,8 @@ Two engines share one scoring core:
   cluster is only scored at **observation points** — every probe, plus
   (``observe_changes``) every timestamp at which fleet state actually
   changed — and each observation gathers all NICs whose mix is not in
-  the persistent mix cache into one ``run_batch`` call per hardware
-  target, exactly like an epoch scoring pass. Between observation
+  the persistent mix cache into one ``run_batch_throughputs`` call per
+  hardware target, exactly like an epoch scoring pass. Between observation
   points SLA violations and drops are integrated left-Riemann style
   into second-granularity ``violation_service_seconds`` /
   ``drop_service_seconds``. Beyond the epoch engine's reach it models
@@ -117,9 +117,9 @@ from repro.fleet.events import (
 )
 from repro.fleet.faults import EpochFaultDriver, FaultSchedule, faults_payload
 from repro.fleet.policies import FleetPolicy, PlacementModel, make_policy
-from repro.fleet.runtime import PodScoreTask, Runtime, make_runtime
+from repro.fleet.runtime import NfMemo, PodScoreTask, Runtime, make_runtime
 from repro.fleet.topology import Topology
-from repro.nf.catalog import make_nf
+from repro.nic.workload import clear_compile_scope, compile_scope
 from repro.obs import (
     NULL_RECORDER,
     Recorder,
@@ -367,12 +367,10 @@ def _mix_key(residents: list[ServiceInstance]) -> tuple:
 
 
 def _solo_throughput(
-    model: PlacementModel, nf_name: str, traffic, target: str
+    model: PlacementModel, nf_name: str, traffic, target: str, nfs: NfMemo
 ) -> float:
     return (
-        model.collector_for(target)
-        .solo(make_nf(nf_name), traffic)
-        .throughput_mpps
+        model.collector_for(target).solo(nfs[nf_name], traffic).throughput_mpps
     )
 
 
@@ -398,11 +396,39 @@ def _warm_pairs(
     set with per-pair scalar :meth:`ProfilingCollector.solo` calls —
     same cache entries, so both modes' policies and drop baselines see
     the same values.
+
+    Each call starts a scoring cycle: it empties the run's
+    :func:`~repro.nic.workload.compile_scope` memo, so the memo holds
+    at most one cycle's solo and mix compilations.
     """
+    clear_compile_scope()
     for target in targets:
         runtime.warm_solos(
             model.collector_for(target), target, pairs, score_mode
         )
+
+
+def _warm_cache_from(cluster: Cluster, mix_cache: dict) -> dict:
+    """The warm cache a scoring pass over ``cluster`` leaves behind.
+
+    Every multi-resident NIC whose mix is in ``mix_cache`` maps to its
+    structure and converged throughputs, exactly the entries
+    :func:`_score_cluster` writes after a pass. A warm run resumed from
+    a cold snapshot starts from these instead of an empty cache, so its
+    first pass is warm too (the snapshot's state is what a warm run's
+    all-cold first pass would have left).
+    """
+    cache = {}
+    for nic in cluster.nics:
+        if len(nic.residents) < 2:
+            continue
+        entries = mix_cache.get((nic.target, _mix_key(nic.residents)))
+        if entries is not None:
+            cache[nic.nic_id] = (
+                (nic.target, tuple(r.nf_name for r in nic.residents)),
+                tuple(achieved for _, achieved in entries),
+            )
+    return cache
 
 
 def _score_cluster(
@@ -427,8 +453,8 @@ def _score_cluster(
     flat default is one pod) into :class:`PodScoreTask`\\ s — each
     carrying its pod-derived seed — and hands the task list to the
     execution ``runtime``: the serial oracle solves pods in-process
-    (``batch`` mode: one :meth:`SmartNic.run_batch` call per hardware
-    target per pod; ``loop`` mode: per-scenario :meth:`SmartNic.run`
+    (``batch`` mode: one :meth:`SmartNic.run_batch_throughputs` call per
+    hardware target per pod; ``loop`` mode: per-scenario :meth:`SmartNic.run`
     calls, the bit-exactness oracle), the process runtime farms whole
     pods to workers. Results merge deterministically: per-pod partials
     are re-assembled in (pod, discovery) order and cache entries are
@@ -484,6 +510,7 @@ def _score_cluster(
     oracle arm, like ``score_mode="loop"``).
     """
     topology = cluster.topology
+    nfs = NfMemo()
     # pod -> target -> mix keys, NICs scanned in spin-up order; a mix
     # appearing in several pods is solved once, in its first pod
     # (values are pure in (target seed, mix), so where is irrelevant).
@@ -556,7 +583,7 @@ def _score_cluster(
             target, mix_key = key
             entries = []
             for (name, traffic), achieved in zip(mix_key, rows[key]):
-                solo = _solo_throughput(model, name, traffic, target)
+                solo = _solo_throughput(model, name, traffic, target, nfs)
                 entries.append((max(0.0, 1.0 - achieved / solo), achieved))
             mix_cache[key] = entries
 
@@ -627,7 +654,7 @@ def _score_cluster(
             resident = nic.residents[0]
             if now is None or cluster.is_home(nic, resident.instance_id):
                 solo = _solo_throughput(
-                    model, resident.nf_name, resident.traffic, nic.target
+                    model, resident.nf_name, resident.traffic, nic.target, nfs
                 )
                 if cap != 1.0:
                     achieved = solo * cap
@@ -651,7 +678,8 @@ def _score_cluster(
             if now is None or cluster.is_home(nic, resident.instance_id):
                 if cap != 1.0:
                     solo = _solo_throughput(
-                        model, resident.nf_name, resident.traffic, nic.target
+                        model, resident.nf_name, resident.traffic, nic.target,
+                        nfs,
                     )
                     achieved = throughput * cap
                     drops[resident.instance_id] = max(
@@ -878,7 +906,7 @@ class FleetEngine:
             # The attached recorder doubles as the process-wide active
             # recorder for the run, so recorder-less layers (the batch
             # solver) can report exec-channel metrics into it.
-            with use_recorder(self._obs):
+            with use_recorder(self._obs), compile_scope():
                 return self._run(epochs, checkpoint, resume)
         except BaseException:
             # The engine owns its runtime's lifecycle on error paths: a
@@ -927,7 +955,11 @@ class FleetEngine:
             if self._warm_start:
                 # The snapshot may predate the knob (a cold build epoch
                 # resumed into a warm run): the engine's flag, not the
-                # snapshot's, decides whether warm telemetry reports.
+                # snapshot's, decides whether warm telemetry reports,
+                # and a cold snapshot's warm cache (always empty) is
+                # rebuilt from its solved mixes.
+                if not telemetry.warm_enabled:
+                    warm_cache = _warm_cache_from(cluster, mix_cache)
                 telemetry.enable_warm()
         else:
             start_epoch = 0
@@ -1285,7 +1317,7 @@ class EventEngine:
         one.
         """
         try:
-            with use_recorder(self._obs):
+            with use_recorder(self._obs), compile_scope():
                 return self._run(horizon, checkpoint, resume)
         except BaseException:
             self._runtime.close()

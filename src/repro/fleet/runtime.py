@@ -59,8 +59,21 @@ from repro.obs import NULL_RECORDER, Recorder
 from repro.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.nf.framework import NetworkFunction
     from repro.nic.nic import SmartNic, WorkloadResult
     from repro.profiling.collector import ProfilingCollector
+
+
+class NfMemo(dict):
+    """``make_nf`` per name, built once per memo.
+
+    Catalog NFs are immutable, so one instance can compile every demand
+    of its name; a memo lives for one call, never across runs.
+    """
+
+    def __missing__(self, name: str) -> "NetworkFunction":
+        nf = self[name] = make_nf(name)
+        return nf
 
 
 @dataclass(frozen=True)
@@ -106,7 +119,8 @@ def solve_solos(
     collector in the parent. ``batch`` solves all pairs in one
     ``run_batch`` call; ``loop`` is the per-scenario oracle.
     """
-    nfs = [make_nf(name) for name, _ in pairs]
+    memo = NfMemo()
+    nfs = [memo[name] for name, _ in pairs]
     scenarios = [[nf.demand(traffic)] for nf, (_, traffic) in zip(nfs, pairs)]
     if score_mode == "batch":
         solved = nic_sim.run_batch(scenarios)
@@ -129,14 +143,17 @@ def solve_pod(
     relies on this). Rebuilds each mix's demands exactly as the
     engines' scoring core always has — ``make_nf(name).demand(traffic,
     instance=f"{name}#{j}")`` — so the solved scenarios are identical
-    objects to the serial path's.
+    objects to the serial path's. ``batch`` mode reads the rates through
+    :meth:`SmartNic.run_batch_throughputs`, which skips assembling the
+    per-stage reports scoring never reads.
     """
     out: list[tuple[list[list[float]], list[int]]] = []
+    memo = NfMemo()
     for g, (target, mix_keys) in enumerate(task.mixes):
         nic_sim = nics_by_target[target]
         scenarios = [
             [
-                make_nf(name).demand(traffic, instance=f"{name}#{j}")
+                memo[name].demand(traffic, instance=f"{name}#{j}")
                 for j, (name, traffic) in enumerate(key)
             ]
             for key in mix_keys
@@ -155,23 +172,20 @@ def solve_pod(
                     for key, vec in zip(mix_keys, group_warm)
                 ]
         if score_mode == "batch":
-            solved = nic_sim.run_batch(scenarios, warm_starts=warms)
-        elif warms is None:
-            solved = [nic_sim.run(scenario) for scenario in scenarios]
+            solved = nic_sim.run_batch_throughputs(scenarios, warm_starts=warms)
         else:
-            solved = [
-                nic_sim.run(scenario, initial=warm)
-                for scenario, warm in zip(scenarios, warms)
-            ]
+            solved = []
+            for scenario, warm in zip(
+                scenarios, warms or [None] * len(scenarios)
+            ):
+                result = nic_sim.run(scenario, initial=warm)
+                solved.append((
+                    [result.throughput_of(w.name) for w in scenario],
+                    result.iterations,
+                ))
         out.append((
-            [
-                [
-                    result.throughput_of(f"{name}#{j}")
-                    for j, (name, _) in enumerate(key)
-                ]
-                for key, result in zip(mix_keys, solved)
-            ],
-            [int(result.iterations) for result in solved],
+            [rates for rates, _ in solved],
+            [int(iterations) for _, iterations in solved],
         ))
     return out
 
@@ -281,13 +295,14 @@ class SerialRuntime(Runtime):
         self._nics = dict(nics_by_target)
 
     def warm_solos(self, collector, target, pairs, score_mode) -> None:
+        memo = NfMemo()
         if score_mode == "batch":
             collector.solo_many(
-                [(make_nf(name), traffic) for name, traffic in pairs]
+                [(memo[name], traffic) for name, traffic in pairs]
             )
         else:
             for name, traffic in pairs:
-                collector.solo(make_nf(name), traffic)
+                collector.solo(memo[name], traffic)
 
     def score_pods(self, tasks, score_mode):
         obs = self._obs
@@ -510,8 +525,9 @@ class ProcessRuntime(Runtime):
         # identical key discipline as ProfilingCollector.solo_many.
         uncached: list[tuple] = []
         seen: set[tuple] = set()
+        memo = NfMemo()
         for name, traffic in pairs:
-            nf = make_nf(name)
+            nf = memo[name]
             key = (nf.name, nf.pattern.value, traffic)
             if key in seen or collector.solo_cached(nf, traffic):
                 continue
@@ -532,7 +548,7 @@ class ProcessRuntime(Runtime):
         )
         for chunk, chunk_results in zip(chunks, solved):
             for (name, traffic), result in zip(chunk, chunk_results):
-                collector.install_solo(make_nf(name), traffic, result)
+                collector.install_solo(memo[name], traffic, result)
 
     def score_pods(self, tasks, score_mode):
         total = sum(task.scenario_count for task in tasks)

@@ -19,6 +19,7 @@ from repro.nic.workload import (
     ExecutionPattern,
     StageDemand,
     WorkloadDemand,
+    compile_scope_memo,
 )
 from repro.traffic.profile import TrafficProfile
 
@@ -84,6 +85,19 @@ class NetworkFunction:
     # ------------------------------------------------------------------
     def stages(self, profile: TrafficProfile) -> tuple[StageDemand, ...]:
         """Compiled stage demands (adjacent same-resource merged)."""
+        # Inside a compile scope a catalog NF's stages are a pure
+        # function of (catalog name, profile): compile each pair once.
+        memo = compile_scope_memo()
+        catalog_name = self.__dict__.get("_catalog_name")
+        if memo is None or catalog_name is None:
+            return self._compile_stages(profile)
+        key = ("stages", catalog_name, profile)
+        stages = memo.get(key)
+        if stages is None:
+            stages = memo[key] = self._compile_stages(profile)
+        return stages
+
+    def _compile_stages(self, profile: TrafficProfile) -> tuple[StageDemand, ...]:
         merged: list[StageDemand] = []
         for element in self.elements:
             demand = element.demand(profile)

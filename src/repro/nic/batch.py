@@ -45,8 +45,10 @@ costs what its stragglers need, not ``max_iterations * n_scenarios``.
 
 from __future__ import annotations
 
+import gc
 import math
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -61,7 +63,9 @@ from repro.nic.memory import (
     MemoryActor,
 )
 from repro.nic.spec import CACHE_LINE_BYTES
-from repro.nic.workload import ExecutionPattern, Resource, WorkloadDemand
+from repro.nic.workload import (
+    ExecutionPattern, Resource, WorkloadDemand, compile_scope_memo,
+)
 from repro.obs import active_recorder
 from repro.rng import derive_seeds, make_rng
 
@@ -119,6 +123,7 @@ class _CompileCache:
     tuple rather than ``repr(demand)`` because hashing the tuple is
     ~6x cheaper than building the repr string, and the lookup is the
     whole cost of a cache hit.)
+
     """
 
     __slots__ = ("enabled", "hits", "misses", "plans", "embeddings", "columns")
@@ -258,6 +263,19 @@ class _WorkloadPlan:
             self.dma_flag,
         )
 
+    def renamed(self, w: WorkloadDemand) -> "_WorkloadPlan":
+        """This plan for ``w``, a demand equal to its own but in name.
+
+        Nothing but ``demand`` and ``name`` depends on the name; the
+        copy shares every other (never mutated) value.
+        """
+        plan = object.__new__(_WorkloadPlan)
+        for slot in _WorkloadPlan.__slots__:
+            setattr(plan, slot, getattr(self, slot))
+        plan.demand = w
+        plan.name = w.name
+        return plan
+
 
 def _demand_key(w: WorkloadDemand) -> tuple:
     """Structural identity of a demand: every field, hashable form.
@@ -294,8 +312,28 @@ def _plan_for(nic: "_nic.SmartNic", w: WorkloadDemand) -> _WorkloadPlan:
     cache.misses += 1
     if len(cache.plans) >= _COMPILE_CACHE_MAX_ENTRIES:
         cache.plans.clear()
-    plan = _WorkloadPlan(nic, w)
+    plan = _renamed_plan(nic, w, key[1])
     cache.plans[key] = (spec, plan)
+    return plan
+
+
+def _renamed_plan(
+    nic: "_nic.SmartNic", w: WorkloadDemand, demand_key: tuple
+) -> _WorkloadPlan:
+    """Compile ``w``, or rename the open compile scope's plan of a
+    demand equal to it in all but name (keyed by its shared stage
+    tuple's ``id``; the entry holds spec and tuple, identity-checked,
+    so an ``id`` never aliases a collected object)."""
+    memo = compile_scope_memo()
+    if memo is None:
+        return _WorkloadPlan(nic, w)
+    spec = nic.spec
+    key = ("plan", id(spec), id(w.stages)) + demand_key[1:3] + demand_key[4:]
+    entry = memo.get(key)
+    if entry is not None and entry[0] is spec and entry[1] is w.stages:
+        return entry[2].renamed(w)
+    plan = _WorkloadPlan(nic, w)
+    memo[key] = (spec, w.stages, plan)
     return plan
 
 
@@ -1041,8 +1079,12 @@ class _Group:
         return updated, failed
 
     # -- driver ----------------------------------------------------------
-    def solve(self) -> list:
-        """Run the damped fixed point; return per-scenario results."""
+    def solve(self, throughputs_only: bool = False) -> list:
+        """Run the damped fixed point; return per-scenario results.
+
+        ``throughputs_only`` returns ``(throughputs, iterations)``
+        pairs (see :func:`solve_throughputs`) instead of run results.
+        """
         obs = active_recorder()
         S, W = self.S, self.W
         thr_final = np.empty((S, W))
@@ -1054,12 +1096,18 @@ class _Group:
         thr = self._estimate(view)
         damping = np.full(S, _nic._DAMPING)
         window = np.full(S, _nic._STALL_WINDOW, dtype=np.int64)
+        # Anderson state of seeded rows (None: no row accelerates):
+        # the last one or two (thr, f) pairs, oldest first.
+        accel = None
+        history: list[tuple[np.ndarray, np.ndarray]] = []
         if self._warm is not None:
             # Seed warm rows exactly as the scalar solver does: per
             # provided name, the guess (clamped like any iterate)
             # replaces the contention-free estimate before iteration 1,
-            # and the row starts undamped with the short warm stall
-            # window (see _nic._WARM_DAMPING / _nic._WARM_STALL_WINDOW).
+            # and the row takes accelerated warm-weight steps with the
+            # short warm stall window (see _nic._WARM_DAMPING /
+            # _nic._WARM_STALL_WINDOW).
+            accel = np.zeros(S, dtype=bool)
             for i, values in enumerate(self._warm):
                 if values is None:
                     continue
@@ -1072,6 +1120,7 @@ class _Group:
                 if seeded:
                     damping[i] = _nic._WARM_DAMPING
                     window[i] = _nic._WARM_STALL_WINDOW
+                    accel[i] = True
         best = np.full(S, np.inf)
         stall = np.zeros(S, dtype=np.int64)
         last_residual = np.full(S, np.inf)
@@ -1106,11 +1155,23 @@ class _Group:
                 stall = np.where(
                     live, np.where(improved | trigger, 0, bumped), stall
                 )
-                thr = np.where(
-                    live[:, None],
-                    (1.0 - damping)[:, None] * thr + damping[:, None] * updated,
-                    thr,
-                )
+                if accel is not None:
+                    # An accelerated row's first stall hands it to the
+                    # cold schedule instead of halving its weight.
+                    lost = live & trigger & accel
+                    damping = np.where(lost, _nic._DAMPING, damping)
+                    window = np.where(lost, _nic._STALL_WINDOW, window)
+                    accel &= ~lost
+                step = (1.0 - damping)[:, None] * thr + damping[:, None] * updated
+                if accel is not None:
+                    f = updated - thr
+                    if history:
+                        step = self._anderson(
+                            view, thr, f, step, history, damping,
+                            live & accel & (residual >= _nic._REL_TOLERANCE),
+                        )
+                    history = history[-1:] + [(thr, f)]
+                thr = np.where(live[:, None], step, thr)
                 last_residual = np.where(live, residual, last_residual)
 
                 done = live & (residual < _nic._REL_TOLERANCE)
@@ -1139,6 +1200,9 @@ class _Group:
                     stall = stall[keep]
                     last_residual = last_residual[keep]
                     frozen = np.zeros(len(rows), dtype=bool)
+                    if accel is not None:
+                        accel = accel[keep]
+                        history = [(x[keep], g[keep]) for x, g in history]
 
         # The for-else path of the scalar loop: accept small residuals,
         # fail the rest.
@@ -1160,8 +1224,67 @@ class _Group:
             [i for i in range(S) if i not in errors], dtype=np.int64
         )
         if len(ok) > 0:
-            self._finalise(ok, thr_final[ok], iterations[ok], results)
+            finish = self._throughputs if throughputs_only else self._finalise
+            finish(ok, thr_final[ok], iterations[ok], results)
         return results
+
+    def _throughputs(self, idx, thr, iterations, results) -> None:
+        """The reported throughputs of :meth:`_assemble_results` alone."""
+        plans = [self._plans[scenario_row] for scenario_row in idx]
+        noises = iter(self._noises(plans))
+        rates = thr.tolist()
+        for row, scenario_row in enumerate(idx.tolist()):
+            values = rates[row]
+            results[scenario_row] = (
+                [values[w] * next(noises) for w in self.embeddings[scenario_row]],
+                int(iterations[row]),
+            )
+
+    @staticmethod
+    def _anderson(view, thr, f, plain, history, damping, rows):
+        """:func:`repro.nic.nic._anderson_step` on the ``rows`` slots.
+
+        Row sums are ``np.cumsum`` left folds over the columns; dummy
+        lanes add exact ``+0.0`` terms and stay at rate ``0.0``, so a
+        padded row steps exactly as the scalar solver on its real lanes.
+        """
+        if not rows.any():
+            return plain
+
+        def dot(a, b):
+            return np.cumsum(a * b, axis=1)[:, -1]
+
+        prev_thr, prev_f = history[-1]
+        df = f - prev_f
+        dx = thr - prev_thr
+        a11 = dot(df, df)
+        b1 = dot(df, f)
+        rows = rows & (a11 > 0.0)
+        d = damping[:, None]
+        gamma = b1 / np.where(rows, a11, 1.0)
+        step = plain - gamma[:, None] * (dx + d * df)
+        if len(history) == 2:
+            old_thr, old_f = history[0]
+            df2 = prev_f - old_f
+            dx2 = prev_thr - old_thr
+            a22 = dot(df2, df2)
+            a12 = dot(df, df2)
+            b2 = dot(df2, f)
+            det = a11 * a22 - a12 * a12
+            deep = rows & (det > _nic._ANDERSON_CONDITION * (a11 * a22))
+            if deep.any():
+                det = np.where(deep, det, 1.0)
+                g1 = (b1 * a22 - b2 * a12) / det
+                g2 = (a11 * b2 - a12 * b1) / det
+                step = np.where(
+                    deep[:, None],
+                    plain - g1[:, None] * (dx + d * df)
+                    - g2[:, None] * (dx2 + d * df2),
+                    step,
+                )
+        valid = ((step > 0.0) & (step < np.inf)) | ~view.lane
+        rows = rows & valid.all(axis=1)
+        return np.where(rows[:, None], step, plain)
 
     # -- reporting --------------------------------------------------------
     def _finalise(
@@ -1387,6 +1510,52 @@ def solve_batch(
     """
     if on_error not in ("raise", "return"):
         raise SimulationError(f"unknown on_error mode {on_error!r}")
+    return _solve(nic, scenarios, warm_starts, on_error, False)
+
+
+def solve_throughputs(
+    nic: "_nic.SmartNic",
+    scenarios: list[list[WorkloadDemand]],
+    warm_starts: Optional[list] = None,
+) -> list[tuple[list[float], int]]:
+    """See :meth:`SmartNic.run_batch_throughputs`."""
+    return _solve(nic, scenarios, warm_starts, "raise", True)
+
+
+def _solve(nic, scenarios, warm_starts, on_error, throughputs_only) -> list:
+    results = _dispatch(nic, scenarios, warm_starts, throughputs_only)
+    if on_error == "raise":
+        for outcome in results:
+            if isinstance(outcome, Exception):
+                raise outcome
+    return results
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector inside the block.
+
+    A group solve allocates thousands of short-lived, acyclic containers
+    per sweep, which reference counting frees; collector passes over the
+    caller's long-lived heap (a fleet's services, caches and results)
+    are pure overhead there. Restores the previous state on exit.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _dispatch(
+    nic: "_nic.SmartNic",
+    scenarios: list[list[WorkloadDemand]],
+    warm_starts: Optional[list],
+    throughputs_only: bool,
+) -> list:
+    """Group, solve and collect every scenario's outcome or error."""
     obs = active_recorder()
     cache = _COMPILE_CACHE
     hits0, misses0 = cache.hits, cache.misses
@@ -1425,10 +1594,12 @@ def solve_batch(
 
     def solve(plans, indices, **layout) -> None:
         obs.exec_histogram("batch.group_size", len(plans))
-        group = _Group(
-            nic, plans, indices, warm=warm_list(plans, indices), **layout
-        )
-        for local, outcome in enumerate(group.solve()):
+        with _gc_paused():
+            group = _Group(
+                nic, plans, indices, warm=warm_list(plans, indices), **layout
+            )
+            outcomes = group.solve(throughputs_only)
+        for local, outcome in enumerate(outcomes):
             results[indices[local]] = outcome
 
     rest_plans: list[_ScenarioPlan] = []
@@ -1463,12 +1634,12 @@ def solve_batch(
         demands = [p.demand for p in plan.workloads]
         warm = warm_starts[index] if warm_starts is not None else None
         try:
-            results[index] = nic.run(demands, initial=warm or None)
+            result = nic.run(demands, initial=warm or None)
         except ConvergenceError as error:
             results[index] = error
-
-    if on_error == "raise":
-        for outcome in results:
-            if isinstance(outcome, Exception):
-                raise outcome
+            continue
+        results[index] = result if not throughputs_only else (
+            [result.workloads[d.name].throughput_mpps for d in demands],
+            result.iterations,
+        )
     return results

@@ -20,6 +20,7 @@ testbed samples. The noiseless value is also exposed for tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,27 +40,101 @@ from repro.rng import SeedLike, derive_seed, make_rng
 
 _MAX_ITERATIONS = 3000
 _DAMPING = 0.55
-#: Starting damping for *seeded* solves. Near the fixed point the
-#: update map is locally contractive, so a warm iterate can take full
-#: (undamped) steps; the stall schedule below still halves damping if
-#: the seed turns out to be far off or the regime is oscillatory, so
-#: warm solves keep the cold path's convergence guarantee. Cold solves
-#: stay at ``_DAMPING`` — their iterate path is bit-pinned.
-_WARM_DAMPING = 1.0
+#: Mixing weight of *seeded* solves. Near the fixed point a warm
+#: iterate needs no damping ramp; it takes Anderson steps (see
+#: :func:`_anderson_step`) with this weight. Full steps (1.0) overshoot
+#: the period-2 modes of steep DRAM-congestion feedback and leave long
+#: tails. The stall schedule below still halves the weight, and drops
+#: the acceleration, if the seed turns out to be far off, so warm
+#: solves keep the cold path's convergence guarantee. Cold solves stay
+#: at ``_DAMPING`` without acceleration — their iterate path is
+#: bit-pinned.
+_WARM_DAMPING = 0.8
 _MIN_DAMPING = 0.02
 _STALL_WINDOW = 15
 #: Stall window for *seeded* solves. A cold iterate approaches from a
 #: distance and may legitimately plateau for a dozen sweeps before a
 #: slow mode decays, so its window is generous. A warm iterate that is
-#: not improving within a few sweeps has a bad seed (or sits in an
-#: oscillatory regime that full steps cannot damp) and should shed its
-#: undamped start quickly — the tail rows of a warm batch otherwise
-#: dominate the whole group's solve time.
+#: not improving within a few sweeps has a bad seed (or sits in a
+#: regime the acceleration cannot follow) and should fall back to the
+#: plain damped schedule quickly — the tail rows of a warm batch
+#: otherwise dominate the whole group's solve time.
 _WARM_STALL_WINDOW = 5
+#: Depth-2 Anderson steps need ``det > _ANDERSON_CONDITION * a11 * a22``
+#: in their 2x2 normal equations (the two secant directions at least
+#: ~0.1 degree apart); otherwise the step drops to depth 1.
+_ANDERSON_CONDITION = 1e-6
 _REL_TOLERANCE = 1e-8
 _ACCEPT_RESIDUAL = 1e-4
 #: Resident buffer footprint of an accelerator DMA ring.
 _DMA_BUFFER_BYTES = 256 * 1024
+
+
+def _left_fold(terms: list[float]) -> float:
+    """Sum ``terms`` left to right from the first term.
+
+    The association ``np.cumsum`` uses along a row, so the batch solver
+    reproduces these sums bit for bit.
+    """
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _anderson_step(
+    x: list[float],
+    f: list[float],
+    plain: list[float],
+    history: list[tuple[list[float], list[float]]],
+    damping: float,
+) -> list[float]:
+    """One Anderson step of a seeded solve, or ``plain`` if invalid.
+
+    ``x`` is the iterate, ``f`` its fixed-point residual ``G(x) - x``,
+    ``plain`` the damped step ``x + d f`` (as ``(1 - d) x + d G(x)``)
+    and ``history`` the last one or two ``(x, f)`` pairs, oldest first.
+    With secant pairs ``(dx_i, df_i)`` of consecutive iterates, the step
+    is ``plain - sum_i gamma_i (dx_i + d df_i)`` for the ``gamma`` that
+    minimises ``|f - sum_i gamma_i df_i|`` (normal equations; depth 2
+    when they are well conditioned, else depth 1). Every operation is
+    elementwise except the left-fold dot products, so
+    :class:`repro.nic.batch._Group` repeats it exactly on its lanes. A
+    step that leaves any rate non-positive or non-finite is discarded
+    for ``plain``.
+    """
+    px, pf = history[-1]
+    df = [fi - pfi for fi, pfi in zip(f, pf)]
+    dx = [xi - pxi for xi, pxi in zip(x, px)]
+    a11 = _left_fold([d * d for d in df])
+    if not a11 > 0.0:
+        return plain
+    b1 = _left_fold([d * fi for d, fi in zip(df, f)])
+    step = None
+    if len(history) == 2:
+        qx, qf = history[0]
+        df2 = [pfi - qfi for pfi, qfi in zip(pf, qf)]
+        dx2 = [pxi - qxi for pxi, qxi in zip(px, qx)]
+        a22 = _left_fold([d * d for d in df2])
+        a12 = _left_fold([d * e for d, e in zip(df, df2)])
+        b2 = _left_fold([d * fi for d, fi in zip(df2, f)])
+        det = a11 * a22 - a12 * a12
+        if det > _ANDERSON_CONDITION * (a11 * a22):
+            g1 = (b1 * a22 - b2 * a12) / det
+            g2 = (a11 * b2 - a12 * b1) / det
+            step = [
+                p - g1 * (dxi + damping * dfi) - g2 * (dyi + damping * dgi)
+                for p, dxi, dfi, dyi, dgi in zip(plain, dx, df, dx2, df2)
+            ]
+    if step is None:
+        gamma = b1 / a11
+        step = [
+            p - gamma * (dxi + damping * dfi)
+            for p, dxi, dfi in zip(plain, dx, df)
+        ]
+    if all(0.0 < v < math.inf for v in step):
+        return step
+    return plain
 
 
 @dataclass(frozen=True)
@@ -147,10 +222,11 @@ class SmartNic:
         instead of the contention-free estimate for the names it
         covers. A guess near the converged point (e.g. last epoch's
         solution for the same resident set) cuts the damped iteration
-        count; the converged values are the same fixed point either
-        way, but the *iterate path* differs, so seeded runs are not
-        bit-identical to cold runs — callers owning a bit-exactness
-        contract must pass ``initial=None``.
+        count (a seeded solve also takes Anderson steps, see
+        :func:`_anderson_step`); the converged values are the same fixed
+        point either way, but the *iterate path* differs, so seeded runs
+        are not bit-identical to cold runs — callers owning a
+        bit-exactness contract must pass ``initial=None``.
         """
         if not workloads:
             raise SimulationError("run() needs at least one workload")
@@ -166,7 +242,7 @@ class SmartNic:
             for stage in workload.accelerator_stages():
                 self._spec.accelerator(stage.accelerator)  # validates name
 
-        throughput = {}
+        throughput: dict[str, float] = {}
         seeded = False
         for w in workloads:
             if initial is not None and w.name in initial:
@@ -178,9 +254,12 @@ class SmartNic:
         # Damping shrinks whenever the residual stalls: steep DRAM
         # congestion feedback can induce period-2 cycles at fixed
         # damping, which a decreasing schedule always breaks. Seeded
-        # solves start undamped (see _WARM_DAMPING).
+        # solves skip the ramp and accelerate (see _WARM_DAMPING) until
+        # their first stall.
         damping = _WARM_DAMPING if seeded else _DAMPING
         window = _WARM_STALL_WINDOW if seeded else _STALL_WINDOW
+        accelerate = seeded
+        history: list[tuple[list[float], list[float]]] = []
         best_residual = np.inf
         stall = 0
         for iterations in range(1, _MAX_ITERATIONS + 1):
@@ -194,13 +273,33 @@ class SmartNic:
                 stall = 0
             else:
                 stall += 1
-                if stall >= window:
+                if stall >= window and accelerate:
+                    # The acceleration lost its way: continue on the
+                    # cold schedule from the current iterate.
+                    damping, window = _DAMPING, _STALL_WINDOW
+                    stall = 0
+                    accelerate = False
+                elif stall >= window:
                     damping = max(damping * 0.5, _MIN_DAMPING)
                     stall = 0
-            for name in throughput:
-                throughput[name] = (
-                    (1.0 - damping) * throughput[name] + damping * updated[name]
-                )
+            if accelerate:
+                x = [throughput[n] for n in names]
+                f = [updated[n] - throughput[n] for n in names]
+                plain = [
+                    (1.0 - damping) * throughput[n] + damping * updated[n]
+                    for n in names
+                ]
+                step = plain
+                if history and residual >= _REL_TOLERANCE:
+                    step = _anderson_step(x, f, plain, history, damping)
+                history = [history[-1], (x, f)] if history else [(x, f)]
+                throughput = dict(zip(names, step))
+            else:
+                for name in throughput:
+                    throughput[name] = (
+                        (1.0 - damping) * throughput[name]
+                        + damping * updated[name]
+                    )
             if residual < _REL_TOLERANCE:
                 break
         else:
@@ -250,6 +349,23 @@ class SmartNic:
         return solve_batch(
             self, scenarios, on_error=on_error, warm_starts=warm_starts
         )
+
+    def run_batch_throughputs(
+        self,
+        scenarios: list[list[WorkloadDemand]],
+        warm_starts: "list[dict[str, float] | None] | None" = None,
+    ) -> list[tuple[list[float], int]]:
+        """Reported throughputs and iteration counts of many scenarios.
+
+        Per scenario, ``([throughput_mpps of each workload in scenario
+        order], iterations)``: exactly the values :meth:`run_batch`
+        reports, without assembling per-stage reports and counters —
+        callers that only read throughputs (fleet scoring) skip most of
+        the result cost. Raises the first failing scenario's error.
+        """
+        from repro.nic.batch import solve_throughputs
+
+        return solve_throughputs(self, scenarios, warm_starts=warm_starts)
 
     def run_fast(self, workloads: list[WorkloadDemand]) -> RunResult:
         """Single co-location run through the compiled batch path.

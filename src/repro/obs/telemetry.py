@@ -74,6 +74,11 @@ class TelemetryAccumulator:
         self._cold_scenarios = 0
 
     # -- recording -----------------------------------------------------
+    @property
+    def warm_enabled(self) -> bool:
+        """Whether this run is marked warm-started."""
+        return self._warm_enabled
+
     def enable_warm(self) -> None:
         """Mark this run as warm-started (sets ``warm_start.enabled``)."""
         self._warm_enabled = True

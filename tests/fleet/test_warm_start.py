@@ -1,7 +1,7 @@
 """Warm-start determinism: the cross-epoch solution cache's contract.
 
 ``warm_start=True`` changes the solver's iterate path (seeded,
-undamped starts), so warm reports are *not* bit-equal to cold ones —
+accelerated starts), so warm reports are *not* bit-equal to cold ones —
 instead they carry their own byte-determinism contract, pinned here:
 same seed + ``warm_start=True`` ⇒ byte-identical reports across
 
@@ -21,6 +21,13 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fleet.checkpoint import Checkpointer, load_checkpoint
+from repro.fleet.churn import ChurnProcess
+from repro.fleet.engine import FleetEngine
+from repro.fleet.policies import GreedyPolicy, PlacementModel
+from repro.nic.nic import SmartNic
+from repro.nic.spec import pensando_spec
+from repro.profiling.collector import ProfilingCollector
 from repro.fleet import FleetConfig, build_model, simulate
 from repro.fleet import __main__ as fleet_cli
 
@@ -136,6 +143,43 @@ class TestWarmCheckpointResume:
         _run(model, checkpoint_path=snap, checkpoint_every=3)
         with pytest.raises(ConfigurationError, match="configuration"):
             _run(model, resume_path=snap, warm_start=False)
+
+
+class TestColdSnapshotIntoWarmRun:
+    """A warm run resumed from a cold snapshot seeds from its mixes."""
+
+    FINGERPRINT = {"test": "cold-into-warm"}
+
+    def _engine(self, warm_start):
+        nic = SmartNic(pensando_spec(), seed=0x5EED, noise_std=0.0)
+        model = PlacementModel(collector=ProfilingCollector(nic), nic=nic)
+        churn = ChurnProcess(
+            nf_names=("flowmonitor", "flowstats", "nids", "nat", "acl"),
+            seed=11,
+            arrival_rate=0.5,
+            mean_lifetime=50.0,
+            initial_services=64,
+        )
+        return FleetEngine(
+            GreedyPolicy(), churn, model, warm_start=warm_start
+        )
+
+    def test_matches_the_uninterrupted_warm_run(self, tmp_path):
+        # Epoch 0 of a warm run is all cold (its cache is empty), so a
+        # cold one-epoch snapshot is the same state; rebuilding the warm
+        # cache from the snapshot's mixes must reproduce the warm run.
+        snap = str(tmp_path / "cold.pkl")
+        uninterrupted = self._engine(True).run(4)
+        self._engine(False).run(
+            1,
+            checkpoint=Checkpointer(snap, every=1, fingerprint=self.FINGERPRINT),
+        )
+        _, state = load_checkpoint(snap, self.FINGERPRINT)
+        resumed = self._engine(True).run(4, resume=state)
+        assert resumed.metrics == uninterrupted.metrics
+        warm = resumed.telemetry["warm_start"]
+        assert warm["hits"] > 0
+        assert warm["hits"] == uninterrupted.telemetry["warm_start"]["hits"]
 
 
 class TestWarmConfigSurface:

@@ -5,8 +5,8 @@ Three mechanisms, three contracts:
 - **Warm-started fixed points** (``run(initial=...)`` /
   ``run_batch(warm_starts=...)``): the converged values are the *same
   fixed point* as a cold solve (within solver tolerance) but the
-  iterate path differs — warm solves start from the seed, undamped —
-  so warm runs are outside the bit-exactness contract. What *is*
+  iterate path differs — warm solves start from the seed and take
+  Anderson steps — so warm runs are outside the bit-exactness contract. What *is*
   bit-pinned: warm batch == warm loop, and ``warm_starts=None`` ==
   the historical cold path, bit for bit.
 - **Persistent compilation cache**: memoized plans/embeddings/column
@@ -19,6 +19,8 @@ Three mechanisms, three contracts:
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from repro.nic.batch import (
 )
 from repro.nic.nic import SmartNic
 from repro.nic.spec import bluefield2_spec, pensando_spec
+from repro.nic.workload import compile_scope
 from repro.obs import TraceRecorder, use_recorder
 from repro.rng import make_rng
 from repro.traffic.profile import TrafficProfile
@@ -135,6 +138,126 @@ class TestWarmStartedRun:
         for i in range(2):
             assert_identical(a[i], b[i], f"none {i}")
             assert_identical(a[i], c[i], f"explicit none {i}")
+
+
+def _deep_warm_batch(seed=5, rows=40):
+    """Noisy 8-resident Pensando mixes (mostly padded into the universal
+    group) with warm seeds 30% off their converged values, plus a few
+    cold rows."""
+    rng = make_rng(seed)
+    pool = ("flowmonitor", "flowstats", "nids", "nat", "acl")
+    nic = SmartNic(pensando_spec(), seed=3, noise_std=0.02)
+    scenarios = []
+    for _ in range(rows):
+        mix = [pool[k] for k in rng.integers(0, len(pool), 8)]
+        scenarios.append([
+            make_nf(n).demand(
+                TrafficProfile(int(rng.integers(5_000, 300_000)), 512, 700.0),
+                instance=f"{n}#{j}",
+            )
+            for j, n in enumerate(mix)
+        ])
+    cold = nic.run_batch(scenarios)
+    warms = [
+        None
+        if i % 7 == 0
+        else {
+            w.name: result[w.name].true_throughput_mpps
+            * float(rng.uniform(0.7, 1.3))
+            for w in scenario
+        }
+        for i, (scenario, result) in enumerate(zip(scenarios, cold))
+    ]
+    return nic, scenarios, warms, cold
+
+
+class TestAcceleratedWarmSolves:
+    """Seeded solves take Anderson steps; batch and loop stay bit-equal."""
+
+    def test_deep_padded_warm_batch_matches_loop(self):
+        nic, scenarios, warms, _ = _deep_warm_batch()
+        batch = nic.run_batch(scenarios, warm_starts=warms)
+        for i, (scenario, warm) in enumerate(zip(scenarios, warms)):
+            assert_identical(
+                nic.run(scenario, initial=warm), batch[i], f"row {i}"
+            )
+
+    def test_converges_to_the_cold_fixed_point_in_fewer_iterations(self):
+        nic, scenarios, warms, cold = _deep_warm_batch()
+        warm = nic.run_batch(scenarios, warm_starts=warms)
+        seeded = [i for i, w in enumerate(warms) if w is not None]
+        for i in seeded:
+            for w in scenarios[i]:
+                a = cold[i][w.name].true_throughput_mpps
+                b = warm[i][w.name].true_throughput_mpps
+                assert abs(a - b) / a < 1e-6, (i, w.name)
+        warm_iters = sum(warm[i].iterations for i in seeded)
+        cold_iters = sum(cold[i].iterations for i in seeded)
+        assert warm_iters < 0.5 * cold_iters
+
+    def test_throughputs_match_run_batch(self):
+        nic, scenarios, warms, _ = _deep_warm_batch(rows=20)
+        for ws in (None, warms):
+            full = nic.run_batch(scenarios, warm_starts=ws)
+            lean = nic.run_batch_throughputs(scenarios, warm_starts=ws)
+            assert lean == [
+                (
+                    [result[w.name].throughput_mpps for w in scenario],
+                    result.iterations,
+                )
+                for scenario, result in zip(scenarios, full)
+            ]
+
+
+class TestCompileScope:
+    """Shared compilation inside ``compile_scope`` is bit-invisible."""
+
+    def test_catalog_demands_share_stages_only_inside(self):
+        traffic = TrafficProfile(40_000, 512, 700.0)
+        outside = [make_nf("nat").demand(traffic, instance=i) for i in "ab"]
+        assert outside[0].stages is not outside[1].stages
+        with compile_scope():
+            inside = [make_nf("nat").demand(traffic, instance=i) for i in "ab"]
+        assert inside[0].stages is inside[1].stages
+        assert inside[0].stages == outside[0].stages
+
+    def test_renamed_plans_solve_identically(self):
+        nic = SmartNic(pensando_spec(), seed=3, noise_std=0.02)
+        pool = ("flowmonitor", "flowstats", "nids", "nat", "acl")
+        traffic = TrafficProfile(70_000, 512, 700.0)
+
+        def build():
+            # The solo demands first, then the same NFs renamed in mixes.
+            solos = [[make_nf(n).demand(traffic)] for n in pool]
+            mixes = [
+                [
+                    make_nf(n).demand(traffic, instance=f"{n}#{j}")
+                    for j, n in enumerate(pool[k:] + pool[:k])
+                ]
+                for k in range(len(pool))
+            ]
+            return solos + mixes
+
+        reference = nic.run_batch(build())
+        clear_compile_cache()
+        with compile_scope():
+            scoped = nic.run_batch(build())
+        for i, (a, b) in enumerate(zip(reference, scoped)):
+            assert_identical(a, b, f"scenario {i}")
+
+    def test_batch_solves_restore_the_cyclic_gc(self):
+        nic, scenario = _mix()
+        was = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                nic.run_batch([scenario])
+                assert gc.isenabled() is enabled
+                with pytest.raises(Exception):
+                    nic.run_batch([scenario + scenario])  # duplicate names
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestCompileCache:
