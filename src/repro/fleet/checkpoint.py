@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -121,13 +121,16 @@ class Checkpointer:
 
 
 def load_checkpoint(
-    path: str, fingerprint: Optional[dict] = None
+    path: str,
+    fingerprint: Optional[dict] = None,
+    also: Sequence[dict] = (),
 ) -> tuple[int, dict[str, Any]]:
     """Load a snapshot; returns ``(step, state)``.
 
     With a ``fingerprint`` the snapshot's stored fingerprint must match
-    exactly — resuming into a different configuration is refused rather
-    than silently mis-continued.
+    it, or one of the ``also`` fingerprints, exactly — resuming into a
+    different configuration is refused rather than silently
+    mis-continued.
     """
     try:
         with open(path, "rb") as handle:
@@ -146,7 +149,9 @@ def load_checkpoint(
             f"checkpoint {path!r} has version {version!r}; "
             f"this build reads version {CHECKPOINT_VERSION}"
         )
-    if fingerprint is not None and payload.get("fingerprint") != fingerprint:
+    if fingerprint is not None and payload.get("fingerprint") not in (
+        fingerprint, *also
+    ):
         raise ConfigurationError(
             f"checkpoint {path!r} was written by a different "
             "configuration; refusing to resume (same seed/policy/"

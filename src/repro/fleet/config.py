@@ -94,8 +94,11 @@ class FleetConfig:
     #: Seed each mix's fixed-point solve from the hosting NIC's last
     #: converged vector (same fixed point, fewer iterations). Off by
     #: default: the cold run is the oracle arm whose bytes tier-1 pins.
-    #: Part of the checkpoint fingerprint — a warm run resumes only
-    #: into a warm run (the iterate path differs from cold's).
+    #: Part of the checkpoint fingerprint — a warm snapshot resumes only
+    #: into a warm run (the iterate path differs from cold's); a cold
+    #: snapshot also resumes into a warm run, which seeds its first
+    #: pass from the snapshot's solved mixes (see
+    #: :meth:`resume_fingerprints`).
     warm_start: bool = False
     # Workload.
     nf_pool: tuple[str, ...] = DEFAULT_POOL
@@ -262,6 +265,19 @@ class FleetConfig:
         ):
             payload.pop(key, None)
         return payload
+
+    def resume_fingerprints(self) -> list[dict]:
+        """Snapshot fingerprints this config may resume from.
+
+        Its own :meth:`fingerprint`; a warm config also accepts its cold
+        twin's: a cold run's solves are what a warm run's first pass
+        does anyway, and the resumed engine rebuilds the warm cache from
+        the snapshot's solved mixes. A warm snapshot never resumes cold.
+        """
+        own = self.fingerprint()
+        if not self.warm_start:
+            return [own]
+        return [own, {**own, "warm_start": False}]
 
     def churn(self) -> ChurnProcess:
         """The seeded churn process (identical derivation to the CLI's)."""
@@ -460,9 +476,8 @@ def simulate(
         )
     resume = None
     if config.resume_path is not None:
-        _step, resume = load_checkpoint(
-            config.resume_path, config.fingerprint()
-        )
+        own, *also = config.resume_fingerprints()
+        _step, resume = load_checkpoint(config.resume_path, own, also)
     runtime = config.make_runtime()
     try:
         if config.engine == "event":

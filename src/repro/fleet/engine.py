@@ -29,8 +29,8 @@ Two engines share one scoring core:
      *current* traffic).
   5. **Ground-truth scoring** — the simulator runs every NIC's
      resident mix under the epoch's traffic, all uncached mixes in
-     **one** :meth:`SmartNic.run_batch_throughputs` call per hardware
-     target (``score_mode="batch"``); ``score_mode="loop"`` solves the
+     **one** :meth:`SmartNic.run_batch` call per hardware target
+     (``score_mode="batch"``); ``score_mode="loop"`` solves the
      identical scenario lists with per-scenario :meth:`SmartNic.run`
      calls and is the bit-exactness oracle.
 
@@ -46,8 +46,8 @@ Two engines share one scoring core:
   cluster is only scored at **observation points** — every probe, plus
   (``observe_changes``) every timestamp at which fleet state actually
   changed — and each observation gathers all NICs whose mix is not in
-  the persistent mix cache into one ``run_batch_throughputs`` call per
-  hardware target, exactly like an epoch scoring pass. Between observation
+  the persistent mix cache into one ``run_batch`` call per hardware
+  target, exactly like an epoch scoring pass. Between observation
   points SLA violations and drops are integrated left-Riemann style
   into second-granularity ``violation_service_seconds`` /
   ``drop_service_seconds``. Beyond the epoch engine's reach it models
@@ -83,10 +83,12 @@ event logs.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, PlacementError
 from repro.fleet.checkpoint import Checkpointer
@@ -119,7 +121,6 @@ from repro.fleet.faults import EpochFaultDriver, FaultSchedule, faults_payload
 from repro.fleet.policies import FleetPolicy, PlacementModel, make_policy
 from repro.fleet.runtime import NfMemo, PodScoreTask, Runtime, make_runtime
 from repro.fleet.topology import Topology
-from repro.nic.workload import clear_compile_scope, compile_scope
 from repro.obs import (
     NULL_RECORDER,
     Recorder,
@@ -374,6 +375,30 @@ def _solo_throughput(
     )
 
 
+def _gc_paused(func: Callable) -> Callable:
+    """Run ``func`` with the cyclic garbage collector paused.
+
+    Wraps the two halves of a scoring cycle. Solving allocates many
+    short-lived, acyclic containers, which reference counting frees;
+    the collector passes they trigger would each traverse the fleet's
+    long-lived heap (services, caches, reports) for nothing. The
+    previous collector state is restored on exit.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
+@_gc_paused
 def _warm_pairs(
     model: PlacementModel,
     targets: tuple[str, ...],
@@ -397,32 +422,38 @@ def _warm_pairs(
     same cache entries, so both modes' policies and drop baselines see
     the same values.
 
-    Each call starts a scoring cycle: it empties the run's
-    :func:`~repro.nic.workload.compile_scope` memo, so the memo holds
-    at most one cycle's solo and mix compilations.
+    Each call starts a scoring cycle (:meth:`Runtime.begin_cycle`), so
+    the cycle's solo and mix demands share compiled stages.
     """
-    clear_compile_scope()
+    runtime.begin_cycle()
     for target in targets:
         runtime.warm_solos(
             model.collector_for(target), target, pairs, score_mode
         )
 
 
-def _warm_cache_from(cluster: Cluster, mix_cache: dict) -> dict:
-    """The warm cache a scoring pass over ``cluster`` leaves behind.
+def _resumed_warm_cache(state: dict, warm_start: bool) -> dict:
+    """The warm cache a run resumed from snapshot ``state`` starts with.
 
-    Every multi-resident NIC whose mix is in ``mix_cache`` maps to its
-    structure and converged throughputs, exactly the entries
-    :func:`_score_cluster` writes after a pass. A warm run resumed from
-    a cold snapshot starts from these instead of an empty cache, so its
-    first pass is warm too (the snapshot's state is what a warm run's
-    all-cold first pass would have left).
+    The engine's ``warm_start``, not the snapshot's, decides whether
+    warm telemetry reports. A warm snapshot brings its own cache. A
+    cold snapshot (its cache is always empty) resumed into a warm run
+    starts from the cache a scoring pass over its fleet leaves behind:
+    every multi-resident NIC whose current mix the snapshot has solved
+    maps to its structure and converged throughputs, exactly the
+    entries :func:`_score_cluster` writes. A warm run's first pass is
+    all cold, so a cold snapshot taken right after it resumes into the
+    uninterrupted warm run's trajectory.
     """
-    cache = {}
-    for nic in cluster.nics:
+    telemetry = state["telemetry"]
+    cache = state["warm_cache"]
+    if not warm_start or telemetry.warm_enabled:
+        return cache
+    telemetry.enable_warm()
+    for nic in state["cluster"].nics:
         if len(nic.residents) < 2:
             continue
-        entries = mix_cache.get((nic.target, _mix_key(nic.residents)))
+        entries = state["mix_cache"].get((nic.target, _mix_key(nic.residents)))
         if entries is not None:
             cache[nic.nic_id] = (
                 (nic.target, tuple(r.nf_name for r in nic.residents)),
@@ -431,6 +462,7 @@ def _warm_cache_from(cluster: Cluster, mix_cache: dict) -> dict:
     return cache
 
 
+@_gc_paused
 def _score_cluster(
     cluster: Cluster,
     model: PlacementModel,
@@ -453,8 +485,8 @@ def _score_cluster(
     flat default is one pod) into :class:`PodScoreTask`\\ s — each
     carrying its pod-derived seed — and hands the task list to the
     execution ``runtime``: the serial oracle solves pods in-process
-    (``batch`` mode: one :meth:`SmartNic.run_batch_throughputs` call per
-    hardware target per pod; ``loop`` mode: per-scenario :meth:`SmartNic.run`
+    (``batch`` mode: one :meth:`SmartNic.run_batch` call per hardware
+    target per pod; ``loop`` mode: per-scenario :meth:`SmartNic.run`
     calls, the bit-exactness oracle), the process runtime farms whole
     pods to workers. Results merge deterministically: per-pod partials
     are re-assembled in (pod, discovery) order and cache entries are
@@ -906,7 +938,7 @@ class FleetEngine:
             # The attached recorder doubles as the process-wide active
             # recorder for the run, so recorder-less layers (the batch
             # solver) can report exec-channel metrics into it.
-            with use_recorder(self._obs), compile_scope():
+            with use_recorder(self._obs):
                 return self._run(epochs, checkpoint, resume)
         except BaseException:
             # The engine owns its runtime's lifecycle on error paths: a
@@ -951,16 +983,7 @@ class FleetEngine:
             fail_viol_seconds = resume["fail_viol_seconds"]
             fail_drop_seconds = resume["fail_drop_seconds"]
             telemetry = resume["telemetry"]
-            warm_cache = resume["warm_cache"]
-            if self._warm_start:
-                # The snapshot may predate the knob (a cold build epoch
-                # resumed into a warm run): the engine's flag, not the
-                # snapshot's, decides whether warm telemetry reports,
-                # and a cold snapshot's warm cache (always empty) is
-                # rebuilt from its solved mixes.
-                if not telemetry.warm_enabled:
-                    warm_cache = _warm_cache_from(cluster, mix_cache)
-                telemetry.enable_warm()
+            warm_cache = _resumed_warm_cache(resume, self._warm_start)
         else:
             start_epoch = 0
             cluster = Cluster(self._provisioner, topology=self._topology)
@@ -1317,7 +1340,7 @@ class EventEngine:
         one.
         """
         try:
-            with use_recorder(self._obs), compile_scope():
+            with use_recorder(self._obs):
                 return self._run(horizon, checkpoint, resume)
         except BaseException:
             self._runtime.close()
@@ -1377,12 +1400,7 @@ class EventEngine:
             probe_index = resume["probe_index"]
             rebalance_index = resume["rebalance_index"]
             telemetry = resume["telemetry"]
-            warm_cache = resume["warm_cache"]
-            if self._warm_start:
-                # Same rule as the epoch engine: the engine's flag, not
-                # the snapshot's, decides whether warm telemetry
-                # reports.
-                telemetry.enable_warm()
+            warm_cache = _resumed_warm_cache(resume, self._warm_start)
         else:
             cluster = Cluster(self._provisioner, topology=self._topology)
             cluster.migration_duration = cfg.migration_duration

@@ -67,8 +67,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class NfMemo(dict):
     """``make_nf`` per name, built once per memo.
 
-    Catalog NFs are immutable, so one instance can compile every demand
-    of its name; a memo lives for one call, never across runs.
+    Catalog NFs are immutable and memoize their compiled stages per
+    traffic profile (:meth:`NetworkFunction.stages`), so demands built
+    through one memo compile each (NF, traffic) pair once. A memo lives
+    for one call or one scoring cycle (:meth:`Runtime.begin_cycle`),
+    which bounds what its NFs hold.
     """
 
     def __missing__(self, name: str) -> "NetworkFunction":
@@ -130,7 +133,10 @@ def solve_solos(
 
 
 def solve_pod(
-    nics_by_target: dict, task: PodScoreTask, score_mode: str
+    nics_by_target: dict,
+    task: PodScoreTask,
+    score_mode: str,
+    nfs: Optional[NfMemo] = None,
 ) -> list[tuple[list[list[float]], list[int]]]:
     """Solve one pod's mixes; returns throughputs plus iteration counts.
 
@@ -143,12 +149,13 @@ def solve_pod(
     relies on this). Rebuilds each mix's demands exactly as the
     engines' scoring core always has — ``make_nf(name).demand(traffic,
     instance=f"{name}#{j}")`` — so the solved scenarios are identical
-    objects to the serial path's. ``batch`` mode reads the rates through
-    :meth:`SmartNic.run_batch_throughputs`, which skips assembling the
-    per-stage reports scoring never reads.
+    objects to the serial path's; ``nfs`` supplies the NF instances
+    (a fresh :class:`NfMemo` by default). Only rates and iteration
+    counts are read, so ``run_batch``'s deferred per-stage reports are
+    never built.
     """
     out: list[tuple[list[list[float]], list[int]]] = []
-    memo = NfMemo()
+    memo = NfMemo() if nfs is None else nfs
     for g, (target, mix_keys) in enumerate(task.mixes):
         nic_sim = nics_by_target[target]
         scenarios = [
@@ -172,20 +179,20 @@ def solve_pod(
                     for key, vec in zip(mix_keys, group_warm)
                 ]
         if score_mode == "batch":
-            solved = nic_sim.run_batch_throughputs(scenarios, warm_starts=warms)
+            solved = nic_sim.run_batch(scenarios, warm_starts=warms)
         else:
-            solved = []
-            for scenario, warm in zip(
-                scenarios, warms or [None] * len(scenarios)
-            ):
-                result = nic_sim.run(scenario, initial=warm)
-                solved.append((
-                    [result.throughput_of(w.name) for w in scenario],
-                    result.iterations,
-                ))
+            solved = [
+                nic_sim.run(scenario, initial=warm)
+                for scenario, warm in zip(
+                    scenarios, warms or [None] * len(scenarios)
+                )
+            ]
         out.append((
-            [rates for rates, _ in solved],
-            [int(iterations) for _, iterations in solved],
+            [
+                [result.throughput_of(w.name) for w in scenario]
+                for scenario, result in zip(scenarios, solved)
+            ],
+            [int(result.iterations) for result in solved],
         ))
     return out
 
@@ -252,6 +259,16 @@ class Runtime:
         rebinding different simulators re-provisions workers)."""
         raise NotImplementedError
 
+    def begin_cycle(self) -> None:
+        """A scoring cycle starts: its :meth:`warm_solos` calls, then
+        its :meth:`score_pods` call.
+
+        In-process runtimes build every demand of a cycle through one
+        :class:`NfMemo`, so a service's solo and mix demands share
+        their compiled stages; the memo is dropped here, bounding it
+        to one cycle. Work solved in workers shares per task instead.
+        """
+
     def warm_solos(
         self,
         collector: "ProfilingCollector",
@@ -290,12 +307,16 @@ class SerialRuntime(Runtime):
 
     def __init__(self) -> None:
         self._nics: dict = {}
+        self._nfs = NfMemo()
 
     def bind(self, nics_by_target: dict) -> None:
         self._nics = dict(nics_by_target)
 
+    def begin_cycle(self) -> None:
+        self._nfs = NfMemo()
+
     def warm_solos(self, collector, target, pairs, score_mode) -> None:
-        memo = NfMemo()
+        memo = self._nfs
         if score_mode == "batch":
             collector.solo_many(
                 [(memo[name], traffic) for name, traffic in pairs]
@@ -307,7 +328,10 @@ class SerialRuntime(Runtime):
     def score_pods(self, tasks, score_mode):
         obs = self._obs
         if not obs.enabled:
-            return [solve_pod(self._nics, task, score_mode) for task in tasks]
+            return [
+                solve_pod(self._nics, task, score_mode, self._nfs)
+                for task in tasks
+            ]
         # One wall span per pod: these become the per-pod tracks of the
         # Chrome trace export (timing channel only — never a record).
         out = []
@@ -316,7 +340,7 @@ class SerialRuntime(Runtime):
                 "runtime.solve_pod", track=task.pod_id,
                 pod=task.pod_id, scenarios=task.scenario_count,
             ):
-                out.append(solve_pod(self._nics, task, score_mode))
+                out.append(solve_pod(self._nics, task, score_mode, self._nfs))
         return out
 
 
@@ -520,6 +544,9 @@ class ProcessRuntime(Runtime):
             time.sleep(self._retry_backoff * (2.0**attempt))
 
     # ------------------------------------------------------------------
+    def begin_cycle(self) -> None:
+        self._serial.begin_cycle()
+
     def warm_solos(self, collector, target, pairs, score_mode) -> None:
         # Dedupe against the collector cache in request order — the
         # identical key discipline as ProfilingCollector.solo_many.

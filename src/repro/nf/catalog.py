@@ -405,16 +405,11 @@ EVALUATION_NF_NAMES: tuple[str, ...] = (
 def make_nf(name: str) -> NetworkFunction:
     """Instantiate a catalogued NF by name."""
     try:
-        nf = NF_CATALOG[name].build()
+        return NF_CATALOG[name].build()
     except KeyError:
         raise ConfigurationError(
             f"unknown NF {name!r}; known: {sorted(NF_CATALOG)}"
         ) from None
-    # Tags the instance as the catalog entry (not a dataclass field, so
-    # equality, hashing and ``replace`` copies ignore it): its stages are
-    # then a pure function of (name, profile) — see ``compile_scope``.
-    object.__setattr__(nf, "_catalog_name", name)
-    return nf
 
 
 def all_nf_names(include_pensando: bool = False) -> list[str]:

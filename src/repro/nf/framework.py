@@ -19,9 +19,12 @@ from repro.nic.workload import (
     ExecutionPattern,
     StageDemand,
     WorkloadDemand,
-    compile_scope_memo,
 )
 from repro.traffic.profile import TrafficProfile
+
+#: Per-instance cap on memoized stage tuples; a full memo is cleared
+#: wholesale (cheaper than eviction bookkeeping).
+_STAGE_MEMO_ENTRIES = 4096
 
 
 def _merge(first: StageDemand, second: StageDemand) -> StageDemand:
@@ -71,6 +74,10 @@ class NetworkFunction:
     queues_per_accelerator: dict[str, int] = field(default_factory=dict)
     hot_access_fraction: float = 0.6
     hot_wss_fraction: float = 0.15
+    #: Compiled stages per traffic profile (see :meth:`stages`).
+    _stage_memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.elements:
@@ -84,17 +91,20 @@ class NetworkFunction:
 
     # ------------------------------------------------------------------
     def stages(self, profile: TrafficProfile) -> tuple[StageDemand, ...]:
-        """Compiled stage demands (adjacent same-resource merged)."""
-        # Inside a compile scope a catalog NF's stages are a pure
-        # function of (catalog name, profile): compile each pair once.
-        memo = compile_scope_memo()
-        catalog_name = self.__dict__.get("_catalog_name")
-        if memo is None or catalog_name is None:
-            return self._compile_stages(profile)
-        key = ("stages", catalog_name, profile)
-        stages = memo.get(key)
+        """Compiled stage demands (adjacent same-resource merged).
+
+        Memoized per profile on this instance: the elements are fixed
+        at construction, so the (immutable) tuple is a pure function of
+        ``profile``. Callers compiling one NF at many demands (a fleet
+        scoring cycle builds each service's solo and mix demand) share
+        one instance to compile each profile once.
+        """
+        memo = self._stage_memo
+        stages = memo.get(profile)
         if stages is None:
-            stages = memo[key] = self._compile_stages(profile)
+            if len(memo) >= _STAGE_MEMO_ENTRIES:
+                memo.clear()
+            stages = memo[profile] = self._compile_stages(profile)
         return stages
 
     def _compile_stages(self, profile: TrafficProfile) -> tuple[StageDemand, ...]:

@@ -45,10 +45,9 @@ costs what its stragglers need, not ``max_iterations * n_scenarios``.
 
 from __future__ import annotations
 
-import gc
 import math
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -63,9 +62,7 @@ from repro.nic.memory import (
     MemoryActor,
 )
 from repro.nic.spec import CACHE_LINE_BYTES
-from repro.nic.workload import (
-    ExecutionPattern, Resource, WorkloadDemand, compile_scope_memo,
-)
+from repro.nic.workload import ExecutionPattern, Resource, WorkloadDemand
 from repro.obs import active_recorder
 from repro.rng import derive_seeds, make_rng
 
@@ -116,14 +113,17 @@ class _CompileCache:
     The plan table is keyed by ``(id(spec), _demand_key(demand))`` and
     each entry stores a strong reference to its spec, identity-checked
     on lookup: the reference keeps the spec alive so ``id`` reuse after
-    garbage collection can never alias two different specs, and the
-    structural key tuple covers every demand field, so two demands with
-    equal keys are value-identical — the cached plan *and* the
-    repr-derived measurement-noise seed both match. (The key is a field
-    tuple rather than ``repr(demand)`` because hashing the tuple is
-    ~6x cheaper than building the repr string, and the lookup is the
-    whole cost of a cache hit.)
-
+    garbage collection can never alias two different specs. The
+    structural key covers every demand field but the name, so a hit is
+    value-identical up to the name: a demand named like the cached plan
+    gets that plan, any other name a renamed copy
+    (:meth:`_WorkloadPlan.renamed`) whose ``demand`` is the caller's —
+    so the repr-derived measurement-noise seed always matches. This is
+    what lets a fleet service's solo demand and its renamed ``nf#j``
+    mix demand compile once. (The key is a field tuple rather than
+    ``repr(demand)`` because hashing the tuple is ~6x cheaper than
+    building the repr string, and the lookup is the whole cost of a
+    cache hit.)
     """
 
     __slots__ = ("enabled", "hits", "misses", "plans", "embeddings", "columns")
@@ -278,15 +278,14 @@ class _WorkloadPlan:
 
 
 def _demand_key(w: WorkloadDemand) -> tuple:
-    """Structural identity of a demand: every field, hashable form.
+    """Structural identity of a demand: every field but the name.
 
     ``WorkloadDemand`` itself is unhashable (``queues_per_accelerator``
     is a dict), so the dict is folded to sorted items; everything else
     is already hashable (``stages`` is a tuple of frozen dataclasses).
-    Equal keys <=> field-equal demands.
+    Equal keys <=> demands equal in every field but ``name``.
     """
     return (
-        w.name,
         w.cores,
         w.pattern,
         w.stages,
@@ -308,32 +307,13 @@ def _plan_for(nic: "_nic.SmartNic", w: WorkloadDemand) -> _WorkloadPlan:
     entry = cache.plans.get(key)
     if entry is not None and entry[0] is spec:
         cache.hits += 1
-        return entry[1]
+        plan = entry[1]
+        return plan if plan.name == w.name else plan.renamed(w)
     cache.misses += 1
     if len(cache.plans) >= _COMPILE_CACHE_MAX_ENTRIES:
         cache.plans.clear()
-    plan = _renamed_plan(nic, w, key[1])
-    cache.plans[key] = (spec, plan)
-    return plan
-
-
-def _renamed_plan(
-    nic: "_nic.SmartNic", w: WorkloadDemand, demand_key: tuple
-) -> _WorkloadPlan:
-    """Compile ``w``, or rename the open compile scope's plan of a
-    demand equal to it in all but name (keyed by its shared stage
-    tuple's ``id``; the entry holds spec and tuple, identity-checked,
-    so an ``id`` never aliases a collected object)."""
-    memo = compile_scope_memo()
-    if memo is None:
-        return _WorkloadPlan(nic, w)
-    spec = nic.spec
-    key = ("plan", id(spec), id(w.stages)) + demand_key[1:3] + demand_key[4:]
-    entry = memo.get(key)
-    if entry is not None and entry[0] is spec and entry[1] is w.stages:
-        return entry[2].renamed(w)
     plan = _WorkloadPlan(nic, w)
-    memo[key] = (spec, w.stages, plan)
+    cache.plans[key] = (spec, plan)
     return plan
 
 
@@ -1079,12 +1059,8 @@ class _Group:
         return updated, failed
 
     # -- driver ----------------------------------------------------------
-    def solve(self, throughputs_only: bool = False) -> list:
-        """Run the damped fixed point; return per-scenario results.
-
-        ``throughputs_only`` returns ``(throughputs, iterations)``
-        pairs (see :func:`solve_throughputs`) instead of run results.
-        """
+    def solve(self) -> list:
+        """Run the damped fixed point; return per-scenario results."""
         obs = active_recorder()
         S, W = self.S, self.W
         thr_final = np.empty((S, W))
@@ -1224,21 +1200,8 @@ class _Group:
             [i for i in range(S) if i not in errors], dtype=np.int64
         )
         if len(ok) > 0:
-            finish = self._throughputs if throughputs_only else self._finalise
-            finish(ok, thr_final[ok], iterations[ok], results)
+            self._finalise(ok, thr_final[ok], iterations[ok], results)
         return results
-
-    def _throughputs(self, idx, thr, iterations, results) -> None:
-        """The reported throughputs of :meth:`_assemble_results` alone."""
-        plans = [self._plans[scenario_row] for scenario_row in idx]
-        noises = iter(self._noises(plans))
-        rates = thr.tolist()
-        for row, scenario_row in enumerate(idx.tolist()):
-            values = rates[row]
-            results[scenario_row] = (
-                [values[w] * next(noises) for w in self.embeddings[scenario_row]],
-                int(iterations[row]),
-            )
 
     @staticmethod
     def _anderson(view, thr, f, plain, history, damping, rows):
@@ -1294,17 +1257,30 @@ class _Group:
         iterations: np.ndarray,
         results: list,
     ) -> None:
-        """Vectorized :meth:`SmartNic._finalise` over the ``idx`` rows."""
-        nic = self._nic
-        spec = self._spec
-        view = _View(self, idx)
-        with np.errstate(all="ignore"):
-            memory = self._solve_memory(view, thr)
-            capacities, _ = self._accel_capacities(view, thr)
-            per_wl, dram_util = self._finalise_arrays(
-                view, thr, memory, capacities
+        """Vectorized :meth:`SmartNic._finalise` over the ``idx`` rows.
+
+        Reported rates (with their seeded noise) and iteration counts
+        are set now; the rest of each result is
+        :meth:`~repro.nic.nic.RunResult.deferred` to
+        :class:`_DeferredDetails`, which computes it for all ``idx``
+        rows on the first access to any of them.
+        """
+        plans = [self._plans[scenario_row] for scenario_row in idx]
+        noises = iter(self._noises(plans))
+        rates = thr.tolist()
+        embeddings = [self.embeddings[scenario_row] for scenario_row in idx]
+        details = _DeferredDetails(self, idx, thr, plans, embeddings)
+        for row, scenario_row in enumerate(idx.tolist()):
+            values = rates[row]
+            throughputs = {
+                wplan.name: values[w] * next(noises)
+                for wplan, w in zip(plans[row].workloads, embeddings[row])
+            }
+            results[scenario_row] = _nic.RunResult.deferred(
+                throughputs,
+                int(iterations[row]),
+                partial(details.row, row, throughputs),
             )
-        self._assemble_results(idx, thr, iterations, per_wl, dram_util, results)
 
     def _finalise_arrays(self, view, thr, memory, capacities):
         spec = self._spec
@@ -1417,58 +1393,89 @@ class _Group:
             for seed in derive_seeds(nic._seed, keys)
         ]
 
-    def _assemble_results(
-        self, idx, thr, iterations, per_wl, dram_util, results
+
+class _DeferredDetails:
+    """Per-stage reports, counters and DRAM utilisation of a group's
+    finalised rows, built on first use.
+
+    The first :meth:`row` call evaluates the memory and accelerator
+    models once at the converged rates of every row (one vectorized
+    pass), keeps only the per-row arrays and drops the group; each
+    :meth:`row` then assembles one scenario's workload results from
+    them, exactly as :meth:`SmartNic._finalise` would.
+    """
+
+    __slots__ = (
+        "group", "idx", "thr", "plans", "embeddings", "per_wl", "dram_util",
+    )
+
+    def __init__(
+        self,
+        group: _Group,
+        idx: np.ndarray,
+        thr: np.ndarray,
+        plans: list[_ScenarioPlan],
+        embeddings: list,
     ) -> None:
-        plans = [self._plans[scenario_row] for scenario_row in idx]
-        noises = iter(self._noises(plans))
-        for row, scenario_row in enumerate(idx):
-            plan = plans[row]
-            workload_results = {}
-            for j, wplan in enumerate(plan.workloads):
-                w = self.embeddings[scenario_row][j]
-                values = per_wl[w]
-                stages = []
-                for s_idx, (kind, pos) in enumerate(wplan.stage_kinds):
-                    stage = wplan.demand.stages[s_idx]
-                    stages.append(
-                        _nic.StageReport(
-                            name=stage.name,
-                            resource=stage.resource,
-                            accelerator=(
-                                stage.accelerator if kind == "a" else None
-                            ),
-                            time_pp_us=float(values["stage_times"][s_idx][row]),
-                            capacity_mpps=float(values["stage_caps"][s_idx][row]),
-                        )
+        self.group = group
+        self.idx = idx
+        self.thr = thr
+        self.plans = plans
+        self.embeddings = embeddings
+        self.per_wl = None
+        self.dram_util = None
+
+    def row(self, row: int, throughputs: dict) -> tuple[dict, float]:
+        """``(workloads, dram_utilisation)`` of the ``row``-th row."""
+        if self.per_wl is None:
+            group, thr = self.group, self.thr
+            view = _View(group, self.idx)
+            with np.errstate(all="ignore"):
+                memory = group._solve_memory(view, thr)
+                capacities, _ = group._accel_capacities(view, thr)
+                self.per_wl, self.dram_util = group._finalise_arrays(
+                    view, thr, memory, capacities
+                )
+            self.group = None
+        workload_results = {}
+        for wplan, w in zip(self.plans[row].workloads, self.embeddings[row]):
+            values = self.per_wl[w]
+            stages = []
+            for s_idx, (kind, pos) in enumerate(wplan.stage_kinds):
+                stage = wplan.demand.stages[s_idx]
+                stages.append(
+                    _nic.StageReport(
+                        name=stage.name,
+                        resource=stage.resource,
+                        accelerator=(
+                            stage.accelerator if kind == "a" else None
+                        ),
+                        time_pp_us=float(values["stage_times"][s_idx][row]),
+                        capacity_mpps=float(values["stage_caps"][s_idx][row]),
                     )
-                counters = PerfCounters(
-                    ipc=float(values["ipc"][row]),
-                    irt=float(values["irt"][row]),
-                    l2crd=float(values["l2crd"][row]),
-                    l2cwr=float(values["l2cwr"][row]),
-                    memrd=float(values["memrd"][row]),
-                    memwr=float(values["memwr"][row]),
-                    wss=float(values["wss"][row]),
                 )
-                rate = float(thr[row, w])
-                workload_results[wplan.name] = _nic.WorkloadResult(
-                    name=wplan.name,
-                    throughput_mpps=rate * next(noises),
-                    true_throughput_mpps=rate,
-                    counters=counters,
-                    stages=tuple(stages),
-                    bottleneck=wplan.stage_labels[
-                        int(values["bottleneck_idx"][row])
-                    ],
-                    miss_ratio=float(values["miss"][row]),
-                    llc_occupancy_bytes=float(values["occupancy"][row]),
-                )
-            results[scenario_row] = _nic.RunResult(
-                workloads=workload_results,
-                iterations=int(iterations[row]),
-                dram_utilisation=float(dram_util[row]),
+            counters = PerfCounters(
+                ipc=float(values["ipc"][row]),
+                irt=float(values["irt"][row]),
+                l2crd=float(values["l2crd"][row]),
+                l2cwr=float(values["l2cwr"][row]),
+                memrd=float(values["memrd"][row]),
+                memwr=float(values["memwr"][row]),
+                wss=float(values["wss"][row]),
             )
+            workload_results[wplan.name] = _nic.WorkloadResult(
+                name=wplan.name,
+                throughput_mpps=throughputs[wplan.name],
+                true_throughput_mpps=float(self.thr[row, w]),
+                counters=counters,
+                stages=tuple(stages),
+                bottleneck=wplan.stage_labels[
+                    int(values["bottleneck_idx"][row])
+                ],
+                miss_ratio=float(values["miss"][row]),
+                llc_occupancy_bytes=float(values["occupancy"][row]),
+            )
+        return workload_results, float(self.dram_util[row])
 
 
 # ----------------------------------------------------------------------
@@ -1510,52 +1517,6 @@ def solve_batch(
     """
     if on_error not in ("raise", "return"):
         raise SimulationError(f"unknown on_error mode {on_error!r}")
-    return _solve(nic, scenarios, warm_starts, on_error, False)
-
-
-def solve_throughputs(
-    nic: "_nic.SmartNic",
-    scenarios: list[list[WorkloadDemand]],
-    warm_starts: Optional[list] = None,
-) -> list[tuple[list[float], int]]:
-    """See :meth:`SmartNic.run_batch_throughputs`."""
-    return _solve(nic, scenarios, warm_starts, "raise", True)
-
-
-def _solve(nic, scenarios, warm_starts, on_error, throughputs_only) -> list:
-    results = _dispatch(nic, scenarios, warm_starts, throughputs_only)
-    if on_error == "raise":
-        for outcome in results:
-            if isinstance(outcome, Exception):
-                raise outcome
-    return results
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector inside the block.
-
-    A group solve allocates thousands of short-lived, acyclic containers
-    per sweep, which reference counting frees; collector passes over the
-    caller's long-lived heap (a fleet's services, caches and results)
-    are pure overhead there. Restores the previous state on exit.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _dispatch(
-    nic: "_nic.SmartNic",
-    scenarios: list[list[WorkloadDemand]],
-    warm_starts: Optional[list],
-    throughputs_only: bool,
-) -> list:
-    """Group, solve and collect every scenario's outcome or error."""
     obs = active_recorder()
     cache = _COMPILE_CACHE
     hits0, misses0 = cache.hits, cache.misses
@@ -1594,12 +1555,10 @@ def _dispatch(
 
     def solve(plans, indices, **layout) -> None:
         obs.exec_histogram("batch.group_size", len(plans))
-        with _gc_paused():
-            group = _Group(
-                nic, plans, indices, warm=warm_list(plans, indices), **layout
-            )
-            outcomes = group.solve(throughputs_only)
-        for local, outcome in enumerate(outcomes):
+        group = _Group(
+            nic, plans, indices, warm=warm_list(plans, indices), **layout
+        )
+        for local, outcome in enumerate(group.solve()):
             results[indices[local]] = outcome
 
     rest_plans: list[_ScenarioPlan] = []
@@ -1634,12 +1593,12 @@ def _dispatch(
         demands = [p.demand for p in plan.workloads]
         warm = warm_starts[index] if warm_starts is not None else None
         try:
-            result = nic.run(demands, initial=warm or None)
+            results[index] = nic.run(demands, initial=warm or None)
         except ConvergenceError as error:
             results[index] = error
-            continue
-        results[index] = result if not throughputs_only else (
-            [result.workloads[d.name].throughput_mpps for d in demands],
-            result.iterations,
-        )
+
+    if on_error == "raise":
+        for outcome in results:
+            if isinstance(outcome, Exception):
+                raise outcome
     return results

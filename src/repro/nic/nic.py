@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -168,19 +169,96 @@ class WorkloadResult:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
 class RunResult:
-    """Outcome of one co-location run."""
+    """Outcome of one co-location run.
 
-    workloads: dict[str, WorkloadResult]
-    iterations: int
-    dram_utilisation: float
+    ``workloads`` maps each workload name to its :class:`WorkloadResult`,
+    ``iterations`` counts fixed-point sweeps and ``dram_utilisation`` is
+    the DRAM bandwidth share at the converged point. Results of
+    :meth:`SmartNic.run_batch` are :meth:`deferred`: they build
+    ``workloads`` and ``dram_utilisation`` on first access, so a caller
+    that reads only :meth:`throughput_of` and ``iterations`` (fleet
+    scoring) never pays for per-stage reports and counters. Equality,
+    ``repr`` and pickling see the built values.
+    """
+
+    __slots__ = (
+        "iterations", "_throughputs", "_details", "_workloads", "_dram",
+    )
+
+    def __init__(
+        self,
+        workloads: dict[str, WorkloadResult],
+        iterations: int,
+        dram_utilisation: float,
+    ) -> None:
+        self.iterations = iterations
+        self._workloads = workloads
+        self._dram = dram_utilisation
+        self._throughputs = None
+        self._details = None
+
+    @classmethod
+    def deferred(
+        cls,
+        throughputs: dict[str, float],
+        iterations: int,
+        details: Callable[[], tuple[dict[str, WorkloadResult], float]],
+    ) -> "RunResult":
+        """A result whose ``(workloads, dram_utilisation)`` come from
+        ``details()`` on first access; ``throughputs`` are the reported
+        (noisy) rates ``details`` gives its workloads."""
+        result = cls.__new__(cls)
+        result.iterations = iterations
+        result._throughputs = throughputs
+        result._details = details
+        result._workloads = None
+        result._dram = None
+        return result
+
+    def _build(self) -> None:
+        if self._details is not None:
+            self._workloads, self._dram = self._details()
+            self._details = None
+
+    @property
+    def workloads(self) -> dict[str, WorkloadResult]:
+        self._build()
+        return self._workloads
+
+    @property
+    def dram_utilisation(self) -> float:
+        self._build()
+        return self._dram
 
     def __getitem__(self, name: str) -> WorkloadResult:
         return self.workloads[name]
 
     def throughput_of(self, name: str) -> float:
+        if self._throughputs is not None:
+            return self._throughputs[name]
         return self.workloads[name].throughput_mpps
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return (self.workloads, self.iterations, self.dram_utilisation) == (
+            other.workloads, other.iterations, other.dram_utilisation,
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"RunResult(workloads={self.workloads!r}, "
+            f"iterations={self.iterations!r}, "
+            f"dram_utilisation={self.dram_utilisation!r})"
+        )
+
+    def __reduce__(self):
+        return (
+            RunResult, (self.workloads, self.iterations, self.dram_utilisation)
+        )
 
 
 class SmartNic:
@@ -329,6 +407,10 @@ class SmartNic:
         :mod:`repro.nic.batch`), with per-scenario convergence masks so
         finished scenarios freeze while stragglers iterate.
 
+        Results are :meth:`RunResult.deferred`: per-stage reports,
+        counters and DRAM utilisation are built on first access (the
+        models behind them run once per solved group).
+
         ``on_error="raise"`` reproduces the loop's behaviour: the error
         of the first (lowest-index) failing scenario is raised.
         ``on_error="return"`` instead stores the exception instance in
@@ -349,23 +431,6 @@ class SmartNic:
         return solve_batch(
             self, scenarios, on_error=on_error, warm_starts=warm_starts
         )
-
-    def run_batch_throughputs(
-        self,
-        scenarios: list[list[WorkloadDemand]],
-        warm_starts: "list[dict[str, float] | None] | None" = None,
-    ) -> list[tuple[list[float], int]]:
-        """Reported throughputs and iteration counts of many scenarios.
-
-        Per scenario, ``([throughput_mpps of each workload in scenario
-        order], iterations)``: exactly the values :meth:`run_batch`
-        reports, without assembling per-stage reports and counters —
-        callers that only read throughputs (fleet scoring) skip most of
-        the result cost. Raises the first failing scenario's error.
-        """
-        from repro.nic.batch import solve_throughputs
-
-        return solve_throughputs(self, scenarios, warm_starts=warm_starts)
 
     def run_fast(self, workloads: list[WorkloadDemand]) -> RunResult:
         """Single co-location run through the compiled batch path.

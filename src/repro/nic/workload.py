@@ -9,49 +9,10 @@ of NF semantics — it only sees resource demands.
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
-
-#: The open :func:`compile_scope` memo (``None`` outside one).
-_COMPILE_SCOPE: Optional[dict] = None
-
-
-@contextmanager
-def compile_scope() -> Iterator[None]:
-    """Share demand compilation inside the block.
-
-    A fleet scoring cycle compiles every service's NF at its current
-    traffic twice: once for its solo baseline and again, renamed
-    ``nf#j``, inside its NIC's mix. Within the block, catalog NFs
-    compile each (NF, traffic profile) pair to one shared stage tuple
-    and the batch solver reuses the plan of a demand equal to an
-    earlier one in all but name. Both are pure functions of their
-    inputs and the shared objects are immutable, so results are
-    unchanged. Nested blocks share the outermost memo;
-    :func:`clear_compile_scope` bounds it to one cycle's working set.
-    """
-    global _COMPILE_SCOPE
-    outer = _COMPILE_SCOPE
-    if outer is None:
-        _COMPILE_SCOPE = {}
-    try:
-        yield
-    finally:
-        _COMPILE_SCOPE = outer
-
-
-def compile_scope_memo() -> Optional[dict]:
-    """The open :func:`compile_scope` memo, or ``None``."""
-    return _COMPILE_SCOPE
-
-
-def clear_compile_scope() -> None:
-    """Empty the open :func:`compile_scope` memo, if any."""
-    if _COMPILE_SCOPE is not None:
-        _COMPILE_SCOPE.clear()
 
 
 class Resource(enum.Enum):

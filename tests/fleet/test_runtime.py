@@ -8,11 +8,13 @@ runtime's inline-fallback threshold is size-only (deterministic), so
 small batches exercise the same pure functions either way.
 """
 
+import gc
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fleet import engine as engine_module
 from repro.fleet.churn import ChurnProcess
 from repro.fleet.engine import EventEngine, FleetEngine
 from repro.fleet.events import EventConfig
@@ -104,6 +106,39 @@ class TestChunk:
 
     def test_deterministic(self):
         assert _chunk(list(range(7)), 3) == _chunk(list(range(7)), 3)
+
+
+class TestScoringCycle:
+    def test_serial_runtime_shares_nfs_within_one_cycle(self, noisy_nic):
+        runtime = SerialRuntime()
+        runtime.bind({noisy_nic.spec.name: noisy_nic})
+        collector = ProfilingCollector(noisy_nic)
+        traffic = _churn().arrivals_for(0)[0].trace.profile_at(0)
+        runtime.begin_cycle()
+        runtime.warm_solos(collector, "t", [("nat", traffic)], "batch")
+        nat = runtime._nfs["nat"]
+        assert traffic in nat._stage_memo  # the mix pass reuses it
+        runtime.begin_cycle()
+        assert "nat" not in runtime._nfs  # dropped with its memo
+
+    def test_scoring_restores_the_cyclic_gc(self):
+        @engine_module._gc_paused
+        def probe(fail):
+            assert not gc.isenabled()
+            if fail:
+                raise RuntimeError("boom")
+
+        was = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                probe(False)
+                assert gc.isenabled() is enabled
+                with pytest.raises(RuntimeError):
+                    probe(True)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestByteIdentity:

@@ -12,7 +12,8 @@ same seed + ``warm_start=True`` ⇒ byte-identical reports across
 - checkpoint/resume (the cache is snapshotted and replayed).
 
 Plus the config surface: the CLI flag, the fingerprint (a warm
-checkpoint only resumes into a warm run), and the all-zero
+checkpoint only resumes into a warm run; a cold one resumes into either,
+a warm resume rebuilding the cache from its solved mixes), and the all-zero
 ``telemetry.warm_start`` section when the knob is off.
 """
 
@@ -23,7 +24,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fleet.checkpoint import Checkpointer, load_checkpoint
 from repro.fleet.churn import ChurnProcess
-from repro.fleet.engine import FleetEngine
+from repro.fleet.engine import EventEngine, FleetEngine
+from repro.fleet.events import EventConfig
 from repro.fleet.policies import GreedyPolicy, PlacementModel
 from repro.nic.nic import SmartNic
 from repro.nic.spec import pensando_spec
@@ -145,12 +147,20 @@ class TestWarmCheckpointResume:
             _run(model, resume_path=snap, warm_start=False)
 
 
+class _FirstStepOnly(Checkpointer):
+    """Keeps only the snapshot taken after the first step."""
+
+    def maybe_save(self, step, state):
+        return step == 1 and super().maybe_save(step, state)
+
+
 class TestColdSnapshotIntoWarmRun:
-    """A warm run resumed from a cold snapshot seeds from its mixes."""
+    """A warm run resumed from a cold snapshot seeds from its mixes,
+    in both engines and through ``simulate``."""
 
     FINGERPRINT = {"test": "cold-into-warm"}
 
-    def _engine(self, warm_start):
+    def _engine(self, kind, warm_start):
         nic = SmartNic(pensando_spec(), seed=0x5EED, noise_std=0.0)
         model = PlacementModel(collector=ProfilingCollector(nic), nic=nic)
         churn = ChurnProcess(
@@ -160,26 +170,55 @@ class TestColdSnapshotIntoWarmRun:
             mean_lifetime=50.0,
             initial_services=64,
         )
-        return FleetEngine(
-            GreedyPolicy(), churn, model, warm_start=warm_start
+        if kind == "epoch":
+            return FleetEngine(
+                GreedyPolicy(), churn, model, warm_start=warm_start
+            )
+        return EventEngine(
+            GreedyPolicy(), churn, model, warm_start=warm_start,
+            config=EventConfig(quantize_arrivals=True),
         )
 
-    def test_matches_the_uninterrupted_warm_run(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["epoch", "event"])
+    def test_matches_the_uninterrupted_warm_run(self, tmp_path, kind):
         # Epoch 0 of a warm run is all cold (its cache is empty), so a
         # cold one-epoch snapshot is the same state; rebuilding the warm
         # cache from the snapshot's mixes must reproduce the warm run.
         snap = str(tmp_path / "cold.pkl")
-        uninterrupted = self._engine(True).run(4)
-        self._engine(False).run(
-            1,
-            checkpoint=Checkpointer(snap, every=1, fingerprint=self.FINGERPRINT),
+        uninterrupted = self._engine(kind, True).run(4)
+        self._engine(kind, False).run(
+            4, checkpoint=_FirstStepOnly(snap, 1, self.FINGERPRINT)
         )
         _, state = load_checkpoint(snap, self.FINGERPRINT)
-        resumed = self._engine(True).run(4, resume=state)
-        assert resumed.metrics == uninterrupted.metrics
-        warm = resumed.telemetry["warm_start"]
+        resumed = self._engine(kind, True).run(4, resume=state)
+        fleet = (lambda r: r) if kind == "epoch" else (lambda r: r.fleet)
+        assert fleet(resumed).metrics == fleet(uninterrupted).metrics
+        warm = fleet(resumed).telemetry["warm_start"]
         assert warm["hits"] > 0
-        assert warm["hits"] == uninterrupted.telemetry["warm_start"]["hits"]
+        assert warm["hits"] == fleet(uninterrupted).telemetry["warm_start"]["hits"]
+
+    def test_simulate_resumes_cold_snapshots_warm_in_both_engines(
+        self, tmp_path, model
+    ):
+        # A mid-run cold snapshot: the resumed warm run is its own
+        # trajectory, deterministic, and the same in both engines.
+        reports = {}
+        for engine, over in (
+            ("epoch", {}),
+            ("event", dict(engine="event", quantize_arrivals=True)),
+        ):
+            snap = str(tmp_path / f"cold-{engine}.pkl")
+            _run(
+                model, warm_start=False, checkpoint_path=snap,
+                checkpoint_every=3, **over,
+            )
+            resumed = _run(model, resume_path=snap, **over)
+            assert _run(model, resume_path=snap, **over) == resumed
+            reports[engine] = json.loads(resumed)
+        assert reports["event"]["fleet"] == reports["epoch"]
+        warm = reports["epoch"]["telemetry"]["warm_start"]
+        assert warm["enabled"] is True
+        assert warm["hits"] > 0
 
 
 class TestWarmConfigSurface:

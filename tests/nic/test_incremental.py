@@ -20,18 +20,20 @@ Three mechanisms, three contracts:
 
 from __future__ import annotations
 
-import gc
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nf import framework
 from repro.nf.catalog import make_nf
 from repro.nic.batch import (
     _SCALAR_FALLBACK_GROUP_SIZE,
     _COMPILE_CACHE,
     _ScenarioPlan,
     _embed_signature,
+    _plan_for,
     _universal_signature,
     clear_compile_cache,
     compile_cache_enabled,
@@ -39,7 +41,6 @@ from repro.nic.batch import (
 )
 from repro.nic.nic import SmartNic
 from repro.nic.spec import bluefield2_spec, pensando_spec
-from repro.nic.workload import compile_scope
 from repro.obs import TraceRecorder, use_recorder
 from repro.rng import make_rng
 from repro.traffic.profile import TrafficProfile
@@ -140,27 +141,35 @@ class TestWarmStartedRun:
             assert_identical(a[i], c[i], f"explicit none {i}")
 
 
-def _deep_warm_batch(seed=5, rows=40):
-    """Noisy 8-resident Pensando mixes (mostly padded into the universal
-    group) with warm seeds 30% off their converged values, plus a few
-    cold rows."""
+def _deep_warm_batch(seed=5, rows=40, repeats=0, cold_every=7):
+    """Noisy 8-resident Pensando mixes with warm seeds 30% off their
+    converged values, every ``cold_every``-th row cold.
+
+    Random mixes rarely share a signature, so they pad into the
+    universal group; ``repeats`` extra rows reuse the first mix's order
+    (one signature) at other traffic and form a full-lane group.
+    """
     rng = make_rng(seed)
     pool = ("flowmonitor", "flowstats", "nids", "nat", "acl")
     nic = SmartNic(pensando_spec(), seed=3, noise_std=0.02)
-    scenarios = []
-    for _ in range(rows):
-        mix = [pool[k] for k in rng.integers(0, len(pool), 8)]
-        scenarios.append([
+    mixes = [
+        [pool[k] for k in rng.integers(0, len(pool), 8)] for _ in range(rows)
+    ]
+    mixes += [mixes[0]] * repeats
+    scenarios = [
+        [
             make_nf(n).demand(
                 TrafficProfile(int(rng.integers(5_000, 300_000)), 512, 700.0),
                 instance=f"{n}#{j}",
             )
             for j, n in enumerate(mix)
-        ])
+        ]
+        for mix in mixes
+    ]
     cold = nic.run_batch(scenarios)
     warms = [
         None
-        if i % 7 == 0
+        if i % cold_every == 0
         else {
             w.name: result[w.name].true_throughput_mpps
             * float(rng.uniform(0.7, 1.3))
@@ -172,11 +181,41 @@ def _deep_warm_batch(seed=5, rows=40):
 
 
 class TestAcceleratedWarmSolves:
-    """Seeded solves take Anderson steps; batch and loop stay bit-equal."""
+    """Seeded solves take Anderson steps; batch and loop stay bit-equal.
+
+    The scalar step (``nic._anderson_step``) and the batch one
+    (``_Group._anderson``) are hand-mirrored; these pin them together.
+    """
 
     def test_deep_padded_warm_batch_matches_loop(self):
         nic, scenarios, warms, _ = _deep_warm_batch()
         batch = nic.run_batch(scenarios, warm_starts=warms)
+        for i, (scenario, warm) in enumerate(zip(scenarios, warms)):
+            assert_identical(
+                nic.run(scenario, initial=warm), batch[i], f"row {i}"
+            )
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.integers(16, 28),
+        repeats=st.sampled_from([0, 4]),
+        cold_every=st.integers(2, 9),
+    )
+    def test_warm_batch_matches_loop_across_layouts(
+        self, seed, rows, repeats, cold_every
+    ):
+        # Padded rows, full-lane rows (repeats > 0) and mixed cold/warm
+        # rows; rows converge at different sweeps, so groups compact
+        # mid-solve and the Anderson history is compacted with them.
+        nic, scenarios, warms, _ = _deep_warm_batch(
+            seed, rows, repeats, cold_every
+        )
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            batch = nic.run_batch(scenarios, warm_starts=warms)
+        assert recorder.exec_counters["batch.padded_lanes"] > 0
+        assert "batch.scalar_scenarios" not in recorder.exec_counters
         for i, (scenario, warm) in enumerate(zip(scenarios, warms)):
             assert_identical(
                 nic.run(scenario, initial=warm), batch[i], f"row {i}"
@@ -195,69 +234,90 @@ class TestAcceleratedWarmSolves:
         cold_iters = sum(cold[i].iterations for i in seeded)
         assert warm_iters < 0.5 * cold_iters
 
-    def test_throughputs_match_run_batch(self):
-        nic, scenarios, warms, _ = _deep_warm_batch(rows=20)
-        for ws in (None, warms):
-            full = nic.run_batch(scenarios, warm_starts=ws)
-            lean = nic.run_batch_throughputs(scenarios, warm_starts=ws)
-            assert lean == [
-                (
-                    [result[w.name].throughput_mpps for w in scenario],
-                    result.iterations,
-                )
-                for scenario, result in zip(scenarios, full)
-            ]
 
+class TestSharedCompilation:
+    """Shared stages and renamed plans are bit-invisible."""
 
-class TestCompileScope:
-    """Shared compilation inside ``compile_scope`` is bit-invisible."""
+    def teardown_method(self):
+        set_compile_cache_enabled(True)
+        clear_compile_cache()
 
-    def test_catalog_demands_share_stages_only_inside(self):
+    def test_an_nf_compiles_each_profile_once(self, monkeypatch):
         traffic = TrafficProfile(40_000, 512, 700.0)
-        outside = [make_nf("nat").demand(traffic, instance=i) for i in "ab"]
-        assert outside[0].stages is not outside[1].stages
-        with compile_scope():
-            inside = [make_nf("nat").demand(traffic, instance=i) for i in "ab"]
-        assert inside[0].stages is inside[1].stages
-        assert inside[0].stages == outside[0].stages
+        nf = make_nf("nat")
+        shared = [nf.demand(traffic, instance=i) for i in "ab"]
+        assert shared[0].stages is shared[1].stages
+        fresh = make_nf("nat").demand(traffic, instance="a")
+        assert fresh.stages is not shared[0].stages
+        assert fresh.stages == shared[0].stages
+        monkeypatch.setattr(framework, "_STAGE_MEMO_ENTRIES", 3)
+        for flows in range(1_000, 1_010):
+            nf.stages(TrafficProfile(flows, 512, 700.0))
+            assert len(nf._stage_memo) <= 3
+
+    def test_plans_are_shared_across_names(self):
+        nic = SmartNic(pensando_spec(), seed=3)
+        nf = make_nf("nids")
+        traffic = TrafficProfile(70_000, 512, 700.0)
+        solo, mixed = nf.demand(traffic), nf.demand(traffic, instance="nids#3")
+        clear_compile_cache()
+        first = _plan_for(nic, solo)
+        assert _plan_for(nic, solo) is first
+        renamed = _plan_for(nic, mixed)
+        assert (renamed.name, renamed.demand) == ("nids#3", mixed)
+        assert renamed.demand is mixed
+        assert renamed.signature is first.signature
 
     def test_renamed_plans_solve_identically(self):
         nic = SmartNic(pensando_spec(), seed=3, noise_std=0.02)
         pool = ("flowmonitor", "flowstats", "nids", "nat", "acl")
         traffic = TrafficProfile(70_000, 512, 700.0)
-
-        def build():
-            # The solo demands first, then the same NFs renamed in mixes.
-            solos = [[make_nf(n).demand(traffic)] for n in pool]
-            mixes = [
-                [
-                    make_nf(n).demand(traffic, instance=f"{n}#{j}")
-                    for j, n in enumerate(pool[k:] + pool[:k])
-                ]
-                for k in range(len(pool))
+        nfs = {n: make_nf(n) for n in pool}
+        # The solo demands first, then the same NFs renamed in mixes.
+        solos = [[nfs[n].demand(traffic)] for n in pool]
+        mixes = [
+            [
+                nfs[n].demand(traffic, instance=f"{n}#{j}")
+                for j, n in enumerate(pool[k:] + pool[:k])
             ]
-            return solos + mixes
-
-        reference = nic.run_batch(build())
+            for k in range(len(pool))
+        ]
         clear_compile_cache()
-        with compile_scope():
-            scoped = nic.run_batch(build())
-        for i, (a, b) in enumerate(zip(reference, scoped)):
-            assert_identical(a, b, f"scenario {i}")
+        shared = nic.run_batch(solos) + nic.run_batch(mixes)
+        set_compile_cache_enabled(False)
+        for i, scenario in enumerate(solos + mixes):
+            assert_identical(nic.run(scenario), shared[i], f"scenario {i}")
+            assert_identical(
+                nic.run_batch([scenario])[0], shared[i], f"uncached {i}"
+            )
 
-    def test_batch_solves_restore_the_cyclic_gc(self):
-        nic, scenario = _mix()
-        was = gc.isenabled()
-        try:
-            for enabled in (True, False):
-                (gc.enable if enabled else gc.disable)()
-                nic.run_batch([scenario])
-                assert gc.isenabled() is enabled
-                with pytest.raises(Exception):
-                    nic.run_batch([scenario + scenario])  # duplicate names
-                assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if was else gc.disable)()
+
+class TestDeferredResults:
+    """``run_batch`` results build their details on first access."""
+
+    def test_rates_are_the_built_rates_in_any_access_order(self):
+        nic, scenarios, _, _ = _deep_warm_batch(rows=12)
+        lazy = nic.run_batch(scenarios)
+        rates = [
+            [result.throughput_of(w.name) for w in scenario]
+            for scenario, result in zip(scenarios, lazy)
+        ]
+        order = list(range(len(scenarios)))[::-1]
+        for i in order:  # builds the last row first
+            assert_identical(nic.run(scenarios[i]), lazy[i], f"row {i}")
+            assert rates[i] == [
+                lazy[i][w.name].throughput_mpps for w in scenarios[i]
+            ]
+
+    def test_equality_and_pickling_see_built_values(self):
+        nic, scenarios, _, _ = _deep_warm_batch(rows=12)
+        lazy = nic.run_batch(scenarios)
+        eager = [nic.run(scenario) for scenario in scenarios]
+        assert lazy == eager
+        fresh = nic.run_batch(scenarios)[3]
+        clone = pickle.loads(pickle.dumps(fresh))
+        assert clone == eager[3]
+        assert repr(clone) == repr(fresh)
 
 
 class TestCompileCache:
