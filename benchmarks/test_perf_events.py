@@ -1,15 +1,16 @@
 """Microbenchmarks: the continuous-time event engine.
 
-Two gates, both on the contention-blind greedy workload of
+Two legs, both on the contention-blind greedy workload of
 ``test_perf_fleet`` (no predictor training, so they isolate the
 engine):
 
-- **Epoch parity**: under :meth:`EventConfig.epoch_equivalent` the
-  event engine schedules the identical work as the epoch engine —
-  same probes, same scoring batches — plus queue bookkeeping. The
-  byte-identical report must cost at most ``MAX_EVENT_OVERHEAD`` of
-  the epoch engine's time: lazy observation scoring may not regress
-  the hot path the epoch loop already optimised.
+- **Epoch parity**: the time-stepped :class:`FleetEngine` is the event
+  engine under :meth:`EventConfig.epoch_equivalent`, so the leg checks
+  the preset's report against the golden digest of the former
+  standalone epoch loop (and against the event engine run under the
+  same config) and times one run. The event-vs-epoch cost ratio it
+  used to bound retired with the second engine; the end-to-end guard on
+  engine cost is the repo benchmark's ``fleet-deepmix`` ``run_s``.
 
 - **Migration-heavy batching**: a shuffle policy migrates a dozen
   services at every probe while timed migrations (1.5 s) keep the
@@ -20,13 +21,15 @@ engine):
   must beat the per-scenario loop oracle by ``MIN_EVENT_SPEEDUP`` —
   the regime the event engine's lazy dirty-NIC gathering exists for.
 
-Correctness is asserted before timing (byte-equality for the parity
-gate, identical event logs and metrics for the batching gate). Timing
+Correctness is asserted before timing (golden bytes for the parity
+leg, identical event logs and metrics for the batching gate). Timing
 follows the suite conventions: CPU time, min of three runs per arm on
 freshly built engines, re-measured up to three times.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from repro.fleet.churn import ChurnProcess
 from repro.fleet.engine import EventEngine, FleetEngine
@@ -36,9 +39,14 @@ from repro.nic.nic import SmartNic
 from repro.nic.spec import bluefield2_spec
 from repro.profiling.collector import ProfilingCollector
 
-#: Max event-engine cost relative to the epoch engine on the same
-#: epoch-equivalent workload.
-MAX_EVENT_OVERHEAD = 1.25
+#: sha256 of the parity workload's JSON report and rendered text,
+#: recorded from the former standalone epoch loop.
+PARITY_JSON_SHA256 = (
+    "e797fafeebe396384fae02dd9b5031fbb1161c79b5bd19513d5b357d2d91c7dd"
+)
+PARITY_RENDER_SHA256 = (
+    "2caf384585d80bafba516618fddbc612f779ac2e8bc588e0b31b269496aabe1c"
+)
 
 #: Required batch-over-loop advantage on the migration-heavy workload.
 MIN_EVENT_SPEEDUP = 2.0
@@ -152,28 +160,28 @@ def build_migration_engine(score_mode: str) -> EventEngine:
     )
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_event_engine_matches_epoch_cost_on_equivalent_workload(
     benchmark, min_time
 ):
-    # Byte-identical first — parity in output before parity in cost.
+    # The epoch engine is the event engine under epoch_equivalent(), so
+    # the cost match holds by construction; the bytes are what is left
+    # to check, against the former epoch loop's golden digests.
     epoch_report = build_epoch_engine().run(EPOCHS)
+    assert _sha256(epoch_report.to_json()) == PARITY_JSON_SHA256
+    assert _sha256(epoch_report.render()) == PARITY_RENDER_SHA256
     event_report = build_event_engine().run(EPOCHS)
     assert event_report.fleet.to_json() == epoch_report.to_json()
-    assert event_report.fleet.render() == epoch_report.render()
 
-    overhead = float("inf")
-    for _ in range(3):
-        epoch_time = min_time(lambda: build_epoch_engine().run(EPOCHS))
-        event_time = min_time(lambda: build_event_engine().run(EPOCHS))
-        overhead = min(overhead, event_time / epoch_time)
-        if overhead <= MAX_EVENT_OVERHEAD:
-            break
-    benchmark.extra_info["event_vs_epoch_overhead"] = round(overhead, 3)
+    run_time = min_time(lambda: build_epoch_engine().run(EPOCHS))
+    benchmark.extra_info["epoch_preset_cpu_s"] = round(run_time, 3)
     benchmark.pedantic(
-        lambda: build_event_engine().run(EPOCHS), rounds=1, iterations=1
+        lambda: build_epoch_engine().run(EPOCHS), rounds=1, iterations=1
     )
-    print(f"\nevent engine cost vs epoch engine: {overhead:.2f}x")
-    assert overhead <= MAX_EVENT_OVERHEAD
+    print(f"\nepoch preset: {run_time:.2f}s CPU for {EPOCHS} epochs")
 
 
 def test_migration_heavy_batching_beats_loop(benchmark, min_time):

@@ -6,9 +6,9 @@ multiplies its flow count sixfold and dies away almost immediately
 (geometric decay 1e-3 per second). By the next epoch boundary the surge
 is gone.
 
-The time-stepped epoch engine samples traffic only at integer epochs,
-so it reports **zero** SLA violations for the whole run: the spike is
-quantized away. The continuous-time event engine chains each trace's
+The time-stepped epoch engine reports one row per integer epoch, so
+its epoch table shows **zero** SLA violations for the whole run: the
+spike is quantized away. The continuous-time event engine chains each trace's
 change points as :class:`~repro.fleet.events.TrafficChange` events, so
 it re-scores the fleet at exactly t = 2.5, catches the violating
 services and charges them to the second-granularity violation integral.
@@ -85,9 +85,9 @@ def main() -> None:
     epoch_violations = sum(m.sla_violations for m in epoch_report.metrics)
     print(f"Flash crowd at t = {ONSET} (between epochs 2 and 3)\n")
     print(
-        "Epoch engine, sampling at t = 0, 1, 2, 3, 4: "
+        "Epoch engine, rows at t = 0, 1, 2, 3, 4: "
         f"{epoch_violations} SLA violations — the surge decays before "
-        "the next boundary, so the integer clock never sees it."
+        "the next boundary, so the epoch table never shows it."
     )
 
     event_report = EventEngine(

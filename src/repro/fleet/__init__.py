@@ -4,16 +4,17 @@ A SmartNIC cluster over time: NF services arrive and depart
 (:mod:`repro.fleet.churn`), their traffic profiles evolve along traces
 (:mod:`repro.fleet.traces`), and an online placement policy
 (:mod:`repro.fleet.policies`) decides where each service runs on the
-growing/shrinking cluster (:mod:`repro.fleet.cluster`). Two engines
-share one scoring core (:mod:`repro.fleet.engine`): the time-stepped
-:class:`FleetEngine` advances epoch by epoch, while the
-continuous-time :class:`EventEngine` pops typed events
-(:mod:`repro.fleet.events`) — timed arrivals, mid-epoch traffic change
-points, timed migrations, NIC spin-up — and scores lazily at
-observation points, gathering all changed NICs into one
-:meth:`SmartNic.run_batch` call per hardware target. Both accumulate
-SLA-violation, utilisation, wastage and migration-cost series; the
-event engine adds second-granularity violation/drop integrals.
+growing/shrinking cluster (:mod:`repro.fleet.cluster`). One engine
+drives it (:mod:`repro.fleet.engine`): the continuous-time
+:class:`EventEngine` pops typed events (:mod:`repro.fleet.events`) —
+timed arrivals, mid-epoch traffic change points, timed migrations, NIC
+spin-up — and scores lazily at observation points, gathering all
+changed NICs into one :meth:`SmartNic.run_batch` call per hardware
+target. :class:`FleetEngine` is its time-stepped preset
+(``EventConfig.epoch_equivalent()``: everything on the epoch grid).
+Both accumulate SLA-violation, utilisation, wastage and migration-cost
+series; the event report adds second-granularity violation/drop
+integrals.
 
 The **front door** is :class:`FleetConfig` + :func:`simulate`: one
 validated object holding every knob (engine, churn, policy, hardware
@@ -28,7 +29,7 @@ fleet's pods (:mod:`repro.fleet.topology`) across workers — same seed
 
 **Faults are first-class** (:mod:`repro.fleet.faults`): a seeded
 :class:`FaultSchedule` injects NIC hard failures, degraded-capacity
-windows and pod outages into either engine; evicted services queue for
+windows and pod outages into the fleet; evicted services queue for
 policy-driven re-placement and the schema-v3 report carries a
 ``faults`` accounting section. The :class:`ProcessRuntime` survives
 worker crashes (timeout + retry + deterministic serial re-execution),
@@ -103,7 +104,6 @@ from repro.fleet.events import (
     TrafficChange,
 )
 from repro.fleet.faults import (
-    EpochFaultDriver,
     FaultConfig,
     FaultSchedule,
     NicFault,
@@ -146,7 +146,6 @@ __all__ = [
     "Departure",
     "ENGINE_NAMES",
     "EVENT_TYPES",
-    "EpochFaultDriver",
     "EpochMetrics",
     "Event",
     "EventConfig",

@@ -138,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "runtime (results identical at any job count)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="deprecated alias of --jobs",
-    )
-    parser.add_argument(
         "--nf-pool",
         default=",".join(DEFAULT_POOL),
         help="comma-separated NF names services are drawn from",
@@ -159,8 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="epoch",
         choices=("epoch", "event"),
-        help="'epoch' is the time-stepped engine; 'event' the "
-        "continuous-time event engine",
+        help="'epoch' is the time-stepped preset of the event engine "
+        "(arrivals, decisions and scoring on the epoch grid); 'event' "
+        "the continuous-time engine",
     )
     parser.add_argument(
         "--runtime",

@@ -1,8 +1,8 @@
 """Crash-surviving engine snapshots (``--checkpoint-every`` / ``--resume``).
 
 A long fleet simulation that dies mid-run — OOM kill, pre-emption, a
-pulled plug — currently loses everything. This module gives both
-engines periodic state snapshots with a **byte-identity contract**: a
+pulled plug — would lose everything. This module gives the engine
+periodic state snapshots with a **byte-identity contract**: a
 run resumed from any checkpoint produces the *identical* final report,
 byte for byte, as the uninterrupted run. That works because every
 source of randomness in the fleet is a pure function of ``(seed,
@@ -33,10 +33,13 @@ from repro.errors import ConfigurationError
 
 #: Version of the snapshot payload layout. Bumped on incompatible
 #: changes; :func:`load_checkpoint` rejects other versions. v2 added
-#: the telemetry accumulator to both engines' state dicts; v3 the
-#: warm-start solution cache (present even when empty, so resumed
-#: warm runs stay byte-identical to uninterrupted ones).
-CHECKPOINT_VERSION = 3
+#: the telemetry accumulator to the state dict; v3 the warm-start
+#: solution cache (present even when empty, so resumed warm runs stay
+#: byte-identical to uninterrupted ones); v4 dropped the separate
+#: epoch-engine layout (one engine writes every snapshot) and replaced
+#: the ``engine`` tag with the run's ``EventConfig``, which a resume
+#: must match.
+CHECKPOINT_VERSION = 4
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -71,9 +74,8 @@ def atomic_write_text(path: str, text: str) -> None:
 class Checkpointer:
     """Periodic snapshot writer one engine run drives.
 
-    ``every`` counts the engine's own steps (epochs for the epoch
-    engine, on-grid probes for the event engine — the same grid, so one
-    knob serves both). ``fingerprint`` is any JSON-ready dict
+    ``every`` counts the engine's on-grid probes, i.e. completed
+    epochs. ``fingerprint`` is any JSON-ready dict
     identifying the run configuration; it is stored in every snapshot
     and checked on load.
     """

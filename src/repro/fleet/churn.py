@@ -138,7 +138,7 @@ class ChurnProcess:
         land at ``t = 0.0`` — the initial population seeds the fleet at
         the instant the simulation starts. With ``quantize=True`` every
         time snaps to ``float(epoch)``, the epoch-boundary schedule
-        under which the event engine reproduces the epoch engine.
+        of the time-stepped preset.
         """
         requests = self.arrivals_for(epoch)
         if quantize or epoch == 0 or not requests:

@@ -20,15 +20,12 @@ knobs **byte-identically** (tier-1 pinned) — the CLI and the ``fleet`` /
 ``fleet-event`` experiments are thin callers of this module.
 
 Naming note: ``jobs`` is the repo-wide name for worker-process counts
-(predictor training *and* the process execution runtime share it);
-``workers=`` survives only as a deprecated alias on
-:class:`~repro.fleet.runtime.ProcessRuntime` and the CLI flag.
+(predictor training *and* the process execution runtime share it).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from repro.core.predictor import YalaSystem
@@ -70,6 +67,18 @@ DEFAULT_POOL = ("flowmonitor", "flowstats", "nids")
 
 #: Engine names a config accepts.
 ENGINE_NAMES: tuple[str, ...] = ("epoch", "event")
+
+#: Continuous-time knobs the epoch engine fixes to their
+#: :meth:`EventConfig.epoch_equivalent` values; ``engine="epoch"``
+#: rejects any other value rather than silently ignoring it.
+EVENT_ONLY_FIELDS: tuple[str, ...] = (
+    "migration_duration",
+    "cross_pod_migration_duration",
+    "spinup_latency",
+    "probe_period",
+    "rebalance_period",
+    "observe_changes",
+)
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,7 @@ class FleetConfig:
     # Execution.
     runtime: str = "serial"
     jobs: int = 1
-    # Continuous-time costs (event engine only).
+    # Continuous-time costs (event engine only; see EVENT_ONLY_FIELDS).
     quantize_arrivals: bool = False
     migration_duration: float = 0.0
     cross_pod_migration_duration: Optional[float] = None
@@ -122,7 +131,7 @@ class FleetConfig:
     probe_period: float = 1.0
     rebalance_period: float = 1.0
     observe_changes: bool = True
-    # Faults (both engines; zero rates = the historical fault-free run).
+    # Faults (any engine; zero rates = the historical fault-free run).
     nic_fail_rate: float = 0.0
     nic_degrade_rate: float = 0.0
     pod_outage_rate: float = 0.0
@@ -170,6 +179,18 @@ class FleetConfig:
         parse_nic_mix(self.nic_mix)  # validates targets and weights
         self.topology()  # validates pods/pod_size
         self.event_config()  # validates the continuous-time knobs
+        if self.engine == "epoch":
+            preset = EventConfig.epoch_equivalent()
+            stray = [
+                name
+                for name in EVENT_ONLY_FIELDS
+                if getattr(self, name) != getattr(preset, name)
+            ]
+            if stray:
+                raise ConfigurationError(
+                    "engine='epoch' runs EventConfig.epoch_equivalent(); "
+                    f"set engine='event' to use {', '.join(stray)}"
+                )
         self.fault_config()  # validates the fault rates/means
         if self.pod_outage_rate > 0.0 and self.pods is None:
             raise ConfigurationError(
@@ -316,21 +337,7 @@ class FleetConfig:
 
     @classmethod
     def from_cli_args(cls, args) -> "FleetConfig":
-        """Build a config from the ``python -m repro.fleet`` namespace.
-
-        ``--workers`` (deprecated alias of ``--jobs``) is honoured here
-        with a warning so old invocations keep working.
-        """
-        jobs = args.jobs
-        workers = getattr(args, "workers", None)
-        if workers is not None:
-            warnings.warn(
-                "--workers is deprecated; use --jobs (the repo-wide name "
-                "for worker-process counts)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            jobs = workers
+        """Build a config from the ``python -m repro.fleet`` namespace."""
         nf_pool = tuple(
             name.strip() for name in args.nf_pool.split(",") if name.strip()
         )
@@ -350,7 +357,7 @@ class FleetConfig:
             pod_size=args.pod_size,
             quota=args.quota,
             runtime=args.runtime,
-            jobs=jobs,
+            jobs=args.jobs,
             quantize_arrivals=args.quantize_arrivals,
             migration_duration=args.migration_duration,
             cross_pod_migration_duration=args.cross_pod_migration_duration,
@@ -480,33 +487,22 @@ def simulate(
         _step, resume = load_checkpoint(config.resume_path, own, also)
     runtime = config.make_runtime()
     try:
+        common = dict(
+            score_mode=config.score_mode,
+            provisioner=config.provisioner(),
+            runtime=runtime,
+            topology=config.topology(),
+            faults=config.fault_schedule(),
+            recorder=recorder,
+            warm_start=config.warm_start,
+        )
         if config.engine == "event":
             engine: Union[EventEngine, FleetEngine] = EventEngine(
-                config.policy,
-                config.churn(),
-                model,
-                score_mode=config.score_mode,
-                provisioner=config.provisioner(),
-                config=config.event_config(),
-                runtime=runtime,
-                topology=config.topology(),
-                faults=config.fault_schedule(),
-                recorder=recorder,
-                warm_start=config.warm_start,
+                config.policy, config.churn(), model,
+                config=config.event_config(), **common,
             )
         else:
-            engine = FleetEngine(
-                config.policy,
-                config.churn(),
-                model,
-                score_mode=config.score_mode,
-                provisioner=config.provisioner(),
-                runtime=runtime,
-                topology=config.topology(),
-                faults=config.fault_schedule(),
-                recorder=recorder,
-                warm_start=config.warm_start,
-            )
+            engine = FleetEngine(config.policy, config.churn(), model, **common)
         report = engine.run(
             config.epochs, checkpoint=checkpoint, resume=resume
         )

@@ -1,69 +1,62 @@
-"""The fleet engines: churn, dynamic traffic, placement, scoring.
+"""The fleet engine: churn, dynamic traffic, placement, scoring.
 
 This is the paper's §7.5 taken online. The one-shot evaluations place a
 fixed arrival sequence (scheduling, §7.5.1) or probe one operating
-point (diagnosis, §7.5.2); the fleet engines instead advance a
+point (diagnosis, §7.5.2); the fleet engine instead advances a
 SmartNIC cluster through time while services arrive and depart
 (:mod:`repro.fleet.churn`), every resident's traffic profile evolves
 along its trace (:mod:`repro.fleet.traces`), and an online policy
 decides placements and migrations using exactly the predictors the
 paper's scheduler uses (:mod:`repro.fleet.policies`).
 
-Two engines share one scoring core:
+:class:`EventEngine` is the continuous-time engine. It pops typed
+events (:mod:`repro.fleet.events`) off a deterministic queue in the
+per-timestamp priority order of five phases:
 
-- :class:`FleetEngine` — the historical *time-stepped* engine. Each
-  epoch proceeds in five phases:
+1. **Departures** (:class:`~repro.fleet.events.Departure`) — services
+   whose lifetime ended leave; empty NICs retire. Fault transitions
+   (``NicRestore`` / ``PodRestore`` / ``PodFail`` / ``NicFail``) pop
+   before them.
+2. **Traffic evolution** (:class:`~repro.fleet.events.TrafficChange`)
+   — a service's traffic becomes its trace's profile at that time (the
+   dynamic-traffic regime of §7.5.2's MTBR sweep, generalised to all
+   attributes).
+3. **Rebalancing** (:class:`~repro.fleet.events.MigrationComplete`,
+   :class:`~repro.fleet.events.RebalanceTimer`) — the policy may
+   migrate residents based on the *previous* observation's measured
+   drops (the diagnosis-triggered ``rebalance`` policy migrates the
+   bottlenecked NF of each violating NIC, mirroring how §7.5.2's
+   operator reacts to a diagnosis).
+4. **Arrivals** (:class:`~repro.fleet.events.Arrival`) — new services
+   are placed one by one (the online regime of §7.5.1, with predictions
+   evaluated at the service's *current* traffic).
+5. **Ground-truth scoring** (:class:`~repro.fleet.events.Probe`) — the
+   simulator runs every NIC's resident mix, all uncached mixes in
+   **one** :meth:`SmartNic.run_batch` call per hardware target
+   (``score_mode="batch"``); ``score_mode="loop"`` solves the identical
+   scenario lists with per-scenario :meth:`SmartNic.run` calls and is
+   the bit-exactness oracle.
 
-  1. **Departures** — services whose lifetime ended leave; empty NICs
-     retire.
-  2. **Traffic evolution** — every remaining service's traffic becomes
-     its trace's profile for this epoch (the dynamic-traffic regime of
-     §7.5.2's MTBR sweep, generalised to all attributes).
-  3. **Rebalancing** — the policy may migrate residents based on the
-     *previous* epoch's measured drops (the diagnosis-triggered
-     ``rebalance`` policy migrates the bottlenecked NF of each
-     violating NIC, mirroring how §7.5.2's operator reacts to a
-     diagnosis).
-  4. **Arrivals** — new services are placed one by one (the online
-     regime of §7.5.1, with predictions evaluated at the service's
-     *current* traffic).
-  5. **Ground-truth scoring** — the simulator runs every NIC's
-     resident mix under the epoch's traffic, all uncached mixes in
-     **one** :meth:`SmartNic.run_batch` call per hardware target
-     (``score_mode="batch"``); ``score_mode="loop"`` solves the
-     identical scenario lists with per-scenario :meth:`SmartNic.run`
-     calls and is the bit-exactness oracle.
+Scoring is *lazy*: the cluster is only scored at **observation
+points** — every probe, plus (``observe_changes``) every timestamp at
+which fleet state actually changed — and each observation gathers all
+NICs whose mix is not in the persistent mix cache. Between observation
+points SLA violations and drops are integrated left-Riemann style into
+second-granularity ``violation_service_seconds`` /
+``drop_service_seconds``. The engine models Poisson arrival *times*
+inside each epoch, traffic change points between epochs (a flash
+crowd's mid-epoch onset), *timed migrations* (the service contends on
+source and destination for ``migration_duration`` seconds) and NIC
+spin-up latency (a booting NIC's residents score as full drops until
+``ready_at``; boot completion becomes visible at the next observation
+point).
 
-- :class:`EventEngine` — the *continuous-time* engine. It pops typed
-  events (:mod:`repro.fleet.events`) off a deterministic queue and maps
-  them onto the same five phases via the per-timestamp priority order:
-  :class:`~repro.fleet.events.Departure` (phase 1) before
-  :class:`~repro.fleet.events.TrafficChange` (phase 2) before
-  :class:`~repro.fleet.events.MigrationComplete` and
-  :class:`~repro.fleet.events.RebalanceTimer` (phase 3) before
-  :class:`~repro.fleet.events.Arrival` (phase 4) before
-  :class:`~repro.fleet.events.Probe` (phase 5). Scoring is *lazy*: the
-  cluster is only scored at **observation points** — every probe, plus
-  (``observe_changes``) every timestamp at which fleet state actually
-  changed — and each observation gathers all NICs whose mix is not in
-  the persistent mix cache into one ``run_batch`` call per hardware
-  target, exactly like an epoch scoring pass. Between observation
-  points SLA violations and drops are integrated left-Riemann style
-  into second-granularity ``violation_service_seconds`` /
-  ``drop_service_seconds``. Beyond the epoch engine's reach it models
-  Poisson arrival *times* inside each epoch, traffic change points that
-  sit between epochs (a flash crowd's mid-epoch onset), *timed
-  migrations* (the service contends on source and destination for
-  ``migration_duration`` seconds) and NIC spin-up latency (a booting
-  NIC's residents score as full drops until ``ready_at``; boot
-  completion becomes visible at the next observation point).
-
-  Under :meth:`~repro.fleet.events.EventConfig.epoch_equivalent` —
-  arrivals quantized to epoch boundaries, free migrations, no spin-up
-  latency, unit probe/rebalance periods — the event engine reproduces
-  the epoch engine's :class:`FleetReport` **byte-identically** (JSON
-  and rendered text), which is the contract that lets the epoch engine
-  remain the coarse, cheap twin.
+:class:`FleetEngine` is the *time-stepped* preset: the same engine
+under :meth:`~repro.fleet.events.EventConfig.epoch_equivalent` —
+arrivals quantized to epoch boundaries, free migrations, no spin-up
+latency, unit probe/rebalance periods — returning only the epoch-grid
+:class:`FleetReport`. Tier-1 pins its report bytes against golden
+digests (``tests/fleet/golden_digests.json``).
 
 Fleets may be **heterogeneous**: a :class:`~repro.fleet.cluster.
 NicProvisioner` mixes hardware targets in one pool, each NIC is scored
@@ -77,8 +70,7 @@ migration-cost time series of the :class:`FleetReport`, and are handed
 to the policy as ``last_drops`` at the next rebalancing decision.
 Everything is deterministic in ``(churn seed, nic mix, trained model,
 event config)``: two runs with the same configuration produce
-byte-identical JSON reports and — for the event engine — identical
-event logs.
+byte-identical JSON reports and identical event logs.
 """
 
 from __future__ import annotations
@@ -117,7 +109,7 @@ from repro.fleet.events import (
     RebalanceTimer,
     TrafficChange,
 )
-from repro.fleet.faults import EpochFaultDriver, FaultSchedule, faults_payload
+from repro.fleet.faults import FaultSchedule, faults_payload
 from repro.fleet.policies import FleetPolicy, PlacementModel, make_policy
 from repro.fleet.runtime import NfMemo, PodScoreTask, Runtime, make_runtime
 from repro.fleet.topology import Topology
@@ -355,12 +347,10 @@ def _mean(values: list[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-# Shared scoring core
+# Scoring core
 # ----------------------------------------------------------------------
-# Both engines score through these module-level helpers so the numbers
-# can only agree: same cache keys, same scenario construction, same
-# read-out iteration order (dict insertion order feeds float sums, so
-# iteration order *is* part of the byte-determinism contract).
+# Dict insertion order feeds float sums, so the read-out iteration
+# order below *is* part of the byte-determinism contract.
 
 
 def _mix_key(residents: list[ServiceInstance]) -> tuple:
@@ -470,24 +460,22 @@ def _score_cluster(
     mix_cache: dict[tuple, list[tuple[float, float]]],
     score_mode: str,
     runtime: Runtime,
-    now: Optional[float] = None,
-    seed: int = 0,
+    now: float,
     obs: Recorder = NULL_RECORDER,
-    sim_time: float = 0.0,
     telemetry: Optional[TelemetryAccumulator] = None,
     warm_start: bool = False,
     warm_cache: Optional[dict] = None,
 ) -> tuple[dict[str, float], dict[str, float]]:
-    """Measured drop and throughput of every resident service.
+    """Measured drop and throughput of every resident service at ``now``.
 
     Gathers every uncached multi-resident mix, groups the work **by
     pod** (the cluster's :class:`~repro.fleet.topology.Topology`; the
-    flat default is one pod) into :class:`PodScoreTask`\\ s — each
-    carrying its pod-derived seed — and hands the task list to the
-    execution ``runtime``: the serial oracle solves pods in-process
-    (``batch`` mode: one :meth:`SmartNic.run_batch` call per hardware
-    target per pod; ``loop`` mode: per-scenario :meth:`SmartNic.run`
-    calls, the bit-exactness oracle), the process runtime farms whole
+    flat default is one pod) into :class:`PodScoreTask`\\ s and hands
+    the task list to the execution ``runtime``: the serial oracle
+    solves pods in-process (``batch`` mode: one
+    :meth:`SmartNic.run_batch` call per hardware target per pod;
+    ``loop`` mode: per-scenario :meth:`SmartNic.run` calls, the
+    bit-exactness oracle), the process runtime farms whole
     pods to workers. Results merge deterministically: per-pod partials
     are re-assembled in (pod, discovery) order and cache entries are
     written by the parent in the NIC-scan discovery order, so reports
@@ -498,8 +486,8 @@ def _score_cluster(
     points, only NICs whose mix actually changed ("dirty" NICs) cost a
     solve.
 
-    ``now`` enables the continuous-time refinements (``None`` is the
-    epoch engine's instantaneous world, kept bit-identical):
+    Continuous-time refinements (inert under
+    :meth:`~repro.fleet.events.EventConfig.epoch_equivalent`):
 
     - a NIC still booting (``ready_at > now``) is not solved; its
       resident services score as full drops (zero throughput);
@@ -519,11 +507,10 @@ def _score_cluster(
       re-placed) score as full drops with zero throughput — they are
       not serving.
 
-    Telemetry (``obs`` / ``sim_time`` / ``telemetry``) is strictly
-    read-only with respect to results: it observes the solve (pod task
-    shapes, per-mix iterations-to-converge, prediction-vs-ground-truth
-    residuals) keyed by simulated time, and both engines feed it from
-    this one site so the ``sim`` channel can only agree across engines.
+    Telemetry (``obs`` / ``telemetry``) is strictly read-only with
+    respect to results: it observes the solve (pod task shapes, per-mix
+    iterations-to-converge, prediction-vs-ground-truth residuals) keyed
+    by simulated time ``now``.
 
     ``warm_start`` / ``warm_cache`` enable cross-pass incremental
     solving (see ``docs/incremental_solving.md``): ``warm_cache`` maps
@@ -555,7 +542,7 @@ def _score_cluster(
     warm_of: dict[tuple, Optional[tuple[float, ...]]] = {}
     warm_hits = warm_misses = warm_invalidations = 0
     for nic in cluster.nics:
-        if now is not None and nic.ready_at > now:
+        if nic.ready_at > now:
             continue  # booting: residents score as full drops below
         if len(nic.residents) < 2:
             continue
@@ -587,7 +574,6 @@ def _score_cluster(
         tasks = [
             PodScoreTask(
                 pod_id=pod,
-                seed=topology.pod_seed(seed, pod),
                 mixes=tuple(
                     (target, tuple(keys)) for target, keys in groups.items()
                 ),
@@ -628,7 +614,7 @@ def _score_cluster(
     )
     if telemetry is not None:
         telemetry.record_scoring(
-            sim_time,
+            now,
             [(task.pod_id, task.scenario_count) for task in tasks],
             iteration_counts,
             warm_flags=warm_flags,
@@ -666,7 +652,7 @@ def _score_cluster(
             if warm_invalidations:
                 obs.counter("warm_cache.invalidations", warm_invalidations)
         obs.event(
-            sim_time, "score", chan="sim",
+            now, "score", chan="sim",
             mixes_solved=len(mix_order),
             iterations=sum(iteration_counts),
             pods=[[task.pod_id, task.scenario_count] for task in tasks],
@@ -675,7 +661,7 @@ def _score_cluster(
     drops: dict[str, float] = {}
     throughputs: dict[str, float] = {}
     for nic in cluster.nics:
-        if now is not None and nic.ready_at > now:
+        if nic.ready_at > now:
             for resident in nic.residents:
                 if cluster.is_home(nic, resident.instance_id):
                     drops[resident.instance_id] = 1.0
@@ -684,7 +670,7 @@ def _score_cluster(
         cap = nic.capacity_fraction
         if len(nic.residents) == 1:
             resident = nic.residents[0]
-            if now is None or cluster.is_home(nic, resident.instance_id):
+            if cluster.is_home(nic, resident.instance_id):
                 solo = _solo_throughput(
                     model, resident.nf_name, resident.traffic, nic.target, nfs
                 )
@@ -707,7 +693,7 @@ def _score_cluster(
                 tuple(achieved for _, achieved in entries),
             )
         for resident, (drop, throughput) in zip(nic.residents, entries):
-            if now is None or cluster.is_home(nic, resident.instance_id):
+            if cluster.is_home(nic, resident.instance_id):
                 if cap != 1.0:
                     solo = _solo_throughput(
                         model, resident.nf_name, resident.traffic, nic.target,
@@ -734,32 +720,12 @@ def _score_cluster(
     return drops, throughputs
 
 
-def _emit_epoch_row(obs: Recorder, t: float, row: EpochMetrics) -> None:
-    """Emit one epoch-grid metrics row on the ``sim`` channel.
-
-    Both engines call this with the :class:`EpochMetrics` row they just
-    appended — the rows themselves are byte-identical under
-    ``EventConfig.epoch_equivalent()`` (tier-1 pinned), so sourcing the
-    event from the row makes cross-engine agreement structural.
-    """
-    obs.event(
-        t, "epoch.metrics", chan="sim",
-        epoch=row.epoch,
-        services=row.services,
-        nics_used=row.nics_used,
-        arrivals=row.arrivals,
-        departures=row.departures,
-        migrations=row.migrations,
-        sla_violations=row.sla_violations,
-    )
-
-
 def _live_services(cluster: Cluster) -> list[ServiceInstance]:
     """Every service the fleet is responsible for this instant: placed
     residents (home-NIC order) then the re-placement queue (eviction
-    order). Both engines count services, violations and drop sums over
-    this list, in this order — the iteration order feeds float sums,
-    so it is part of the byte-determinism contract."""
+    order). Services, violations and drop sums are counted over this
+    list, in this order — the iteration order feeds float sums, so it
+    is part of the byte-determinism contract."""
     live = cluster.services
     if cluster.evicted:
         live = live + [entry.instance for entry in cluster.evicted]
@@ -774,7 +740,7 @@ def _failure_attribution(
     Counted over (a) the re-placement queue — every queued service is
     fully down because a fault displaced it — and (b) home residents of
     currently *degraded* NICs, whose measured drop is the derated one.
-    Returns ``(violation count, drop sum)``; both engines integrate
+    Returns ``(violation count, drop sum)``; the engine integrates
     these over time into the ``faults`` section's
     ``failure_violation_service_seconds`` /
     ``failure_drop_service_seconds``.
@@ -845,343 +811,8 @@ def _pool_rows(
     return rows
 
 
-def _validate_pool(
-    policy: FleetPolicy | str,
-    model: PlacementModel,
-    score_mode: str,
-    provisioner: Optional[NicProvisioner],
-) -> tuple[FleetPolicy, NicProvisioner]:
-    """Shared engine-constructor validation (both engines, same rules)."""
-    if score_mode not in ("batch", "loop"):
-        raise ConfigurationError("score_mode must be 'batch' or 'loop'")
-    resolved = make_policy(policy) if isinstance(policy, str) else policy
-    if provisioner is None:
-        # Historical homogeneous behaviour: every NIC is the model's
-        # default target.
-        provisioner = NicProvisioner.constant(model.nic.spec)
-    for target in provisioner.target_names:
-        if target not in model.target_names:
-            raise ConfigurationError(
-                f"nic-mix target {target!r} has no placement model; "
-                f"registered: {list(model.target_names)}"
-            )
-    return resolved, provisioner
-
-
-class FleetEngine:
-    """Drives one policy through the time-stepped fleet simulation.
-
-    ``runtime`` names the execution runtime scoring runs on (a
-    :class:`~repro.fleet.runtime.Runtime` instance, ``"serial"`` /
-    ``"process"``, or ``None`` for serial) and ``topology`` the pod
-    layout (``None`` = flat). Both are report-invariant: same seed ⇒
-    byte-identical reports at any runtime/worker count.
-    """
-
-    def __init__(
-        self,
-        policy: FleetPolicy | str,
-        churn: ChurnProcess,
-        model: PlacementModel,
-        score_mode: str = "batch",
-        provisioner: Optional[NicProvisioner] = None,
-        runtime: "Runtime | str | None" = None,
-        topology: Optional[Topology] = None,
-        faults: Optional[FaultSchedule] = None,
-        recorder: Optional[Recorder] = None,
-        warm_start: bool = False,
-    ) -> None:
-        self._policy, self._provisioner = _validate_pool(
-            policy, model, score_mode, provisioner
-        )
-        self._churn = churn
-        self._model = model
-        self._targets = self._provisioner.target_names
-        self._score_mode = score_mode
-        self._runtime = make_runtime(runtime)
-        self._topology = topology if topology is not None else Topology()
-        self._faults = faults
-        self._obs = recorder if recorder is not None else NULL_RECORDER
-        #: Cross-epoch warm-started fixed points (default off — the
-        #: oracle arm); see :func:`_score_cluster` and
-        #: ``docs/incremental_solving.md``.
-        self._warm_start = bool(warm_start)
-
-    @property
-    def policy_name(self) -> str:
-        return self._policy.name
-
-    @property
-    def runtime(self) -> Runtime:
-        return self._runtime
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        epochs: int,
-        checkpoint: Optional[Checkpointer] = None,
-        resume: Optional[dict] = None,
-    ) -> FleetReport:
-        """Simulate ``epochs`` epochs; returns the scored trajectory.
-
-        Stateless across calls: every invocation rebuilds the cluster
-        and the scoring caches, so repeated runs of one engine are
-        bit-identical.
-
-        ``checkpoint`` snapshots the engine state after every interval
-        of completed epochs; ``resume`` is a snapshot's state dict
-        (:func:`~repro.fleet.checkpoint.load_checkpoint`), from which
-        the run continues to a final report byte-identical to the
-        uninterrupted one.
-        """
-        try:
-            # The attached recorder doubles as the process-wide active
-            # recorder for the run, so recorder-less layers (the batch
-            # solver) can report exec-channel metrics into it.
-            with use_recorder(self._obs):
-                return self._run(epochs, checkpoint, resume)
-        except BaseException:
-            # The engine owns its runtime's lifecycle on error paths: a
-            # failing run must not leak worker pools. (Success keeps
-            # the pool warm for the next run; close() is idempotent and
-            # the pool rebuilds on demand.)
-            self._runtime.close()
-            raise
-
-    def _run(
-        self,
-        epochs: int,
-        checkpoint: Optional[Checkpointer],
-        resume: Optional[dict],
-    ) -> FleetReport:
-        if epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        obs = self._obs
-        self._runtime.bind(
-            {t: self._model.nic_for(t) for t in self._targets}
-        )
-        self._runtime.observe(obs)
-        for target in self._targets:
-            self._model.collector_for(target).observe(obs)
-        if resume is not None:
-            if resume.get("engine") != "epoch":
-                raise ConfigurationError(
-                    "this checkpoint was written by the event engine; "
-                    "resume it with EventEngine.run"
-                )
-            start_epoch = resume["next_epoch"]
-            if start_epoch > epochs:
-                raise ConfigurationError(
-                    f"checkpoint is {start_epoch} epochs in; the run is "
-                    f"only {epochs}"
-                )
-            cluster = resume["cluster"]
-            driver = resume["driver"]
-            mix_cache = resume["mix_cache"]
-            report = resume["report"]
-            last_drops = resume["last_drops"]
-            fail_viol_seconds = resume["fail_viol_seconds"]
-            fail_drop_seconds = resume["fail_drop_seconds"]
-            telemetry = resume["telemetry"]
-            warm_cache = _resumed_warm_cache(resume, self._warm_start)
-        else:
-            start_epoch = 0
-            cluster = Cluster(self._provisioner, topology=self._topology)
-            driver = None
-            if self._faults is not None and self._faults.config.any_faults:
-                driver = EpochFaultDriver(self._faults)
-                driver.arm_pods(self._topology.pods)
-                cluster.collect_new_nics = True
-            mix_cache: dict[tuple, list[tuple[float, float]]] = {}
-            report = FleetReport(
-                policy=self._policy.name,
-                seed=self._churn.seed,
-                epochs=epochs,
-                score_mode=self._score_mode,
-                nic_mix=self._provisioner.mix,
-                topology=self._topology.to_dict(),
-            )
-            last_drops = {}
-            fail_viol_seconds = 0.0
-            fail_drop_seconds = 0.0
-            telemetry = TelemetryAccumulator()
-            warm_cache: dict = {}
-            if self._warm_start:
-                telemetry.enable_warm()
-
-        for epoch in range(start_epoch, epochs):
-            now = float(epoch)
-            cluster.now = now
-
-            # 0. Fault transitions due at this boundary (restores
-            # before outages before NIC faults — the event queue's
-            # priority order at one timestamp).
-            with obs.span(now, "phase.faults", epoch=epoch):
-                if driver is not None:
-                    driver.apply(cluster, now, obs=obs)
-
-            # 1. Departures — placed services and queued evictees whose
-            # lifetime ran out while they waited (those are *lost*).
-            with obs.span(now, "phase.departures", epoch=epoch) as span:
-                departures = 0
-                for instance in cluster.services:
-                    if instance.request.departure_epoch <= epoch:
-                        cluster.remove(instance.instance_id)
-                        departures += 1
-                for entry in list(cluster.evicted):
-                    if entry.instance.request.departure_epoch <= epoch:
-                        cluster.drop_evicted(entry.instance.instance_id)
-                        departures += 1
-                span.add(departures=departures)
-
-            # 2. Traffic evolution along each service's trace (queued
-            # services keep evolving — they re-place at *current*
-            # traffic).
-            with obs.span(now, "phase.traffic", epoch=epoch) as span:
-                for instance in cluster.services:
-                    instance.traffic = (
-                        instance.request.trace.profile_at(epoch)
-                    )
-                for entry in cluster.evicted:
-                    entry.instance.traffic = (
-                        entry.instance.request.trace.profile_at(epoch)
-                    )
-                span.add(services=len(cluster.services))
-
-            # 2b. Warm this epoch's solo baselines (residents and
-            # arrivals at their current traffic) through the collector,
-            # in one run_batch call, so the policies' feasibility probes
-            # and the scoring drops all hit the cache. The loop twin
-            # warms the identical set with per-pair scalar solves.
-            arrivals = self._churn.arrivals_for(epoch)
-            pairs = [
-                (r.nf_name, r.traffic) for r in _live_services(cluster)
-            ]
-            pairs.extend(
-                (request.nf_name, request.trace.profile_at(epoch))
-                for request in arrivals
-            )
-            with obs.span(now, "phase.warm", epoch=epoch, pairs=len(pairs)):
-                _warm_pairs(
-                    self._model, self._targets, pairs, self._score_mode,
-                    self._runtime,
-                )
-
-            # 3. Failover drain (evicted services re-place through the
-            # policy's own strategy), then rebalancing on the previous
-            # epoch's measured drops.
-            with obs.span(now, "phase.rebalance", epoch=epoch) as span:
-                if cluster.evicted:
-                    self._policy.replace_evicted(
-                        cluster, epoch, self._model
-                    )
-                migrations_before = len(cluster.migration_log)
-                self._policy.rebalance(
-                    cluster, epoch, self._model, last_drops
-                )
-                migrations = len(cluster.migration_log) - migrations_before
-                span.add(migrations=migrations)
-
-            # 4. Arrivals, placed online one by one. During a pod
-            # outage placement can be impossible; the arrival waits in
-            # the re-placement queue.
-            with obs.span(
-                now, "phase.arrivals", epoch=epoch, arrivals=len(arrivals)
-            ):
-                for request in arrivals:
-                    instance = ServiceInstance(
-                        request=request,
-                        traffic=request.trace.profile_at(epoch),
-                    )
-                    try:
-                        nic_id = self._policy.choose_nic(
-                            cluster, instance, self._model
-                        )
-                        cluster.place(instance, nic_id)
-                    except PlacementError:
-                        cluster.enqueue_evicted(instance)
-
-            # 5. Ground-truth scoring of every NIC's resident mix.
-            with obs.span(now, "phase.score", epoch=epoch):
-                drops, throughputs = _score_cluster(
-                    cluster, self._model, self._targets, mix_cache,
-                    self._score_mode, self._runtime, seed=self._churn.seed,
-                    obs=obs, sim_time=now, telemetry=telemetry,
-                    warm_start=self._warm_start, warm_cache=warm_cache,
-                )
-            last_drops = drops
-            live = _live_services(cluster)
-            violations = sum(
-                1
-                for instance in live
-                if drops[instance.instance_id] > instance.sla_drop_fraction
-            )
-            fail_viol, fail_drop = _failure_attribution(cluster, drops)
-            # One epoch spans exactly one second: the epoch integral
-            # adds value * 1.0 terms in epoch order, matching the event
-            # engine's left-Riemann sums bit for bit on the grid.
-            fail_viol_seconds += float(fail_viol)
-            fail_drop_seconds += fail_drop
-
-            services = len(live)
-            total_cores = sum(nic.spec.num_cores for nic in cluster.nics)
-            used_cores = sum(nic.cores_used() for nic in cluster.nics)
-            min_nics = math.ceil(services / cluster.max_residents_per_nic)
-            row = EpochMetrics(
-                epoch=epoch,
-                services=services,
-                nics_used=cluster.nics_used,
-                arrivals=len(arrivals),
-                departures=departures,
-                migrations=migrations,
-                sla_violations=violations,
-                violation_rate_pct=(
-                    100.0 * violations / services if services else 0.0
-                ),
-                utilisation_pct=(
-                    100.0 * used_cores / total_cores if total_cores else 0.0
-                ),
-                wastage_pct=(
-                    100.0 * (cluster.nics_used - min_nics) / min_nics
-                    if min_nics
-                    else 0.0
-                ),
-                aggregate_throughput_mpps=sum(throughputs.values()),
-            )
-            report.metrics.append(row)
-            if obs.enabled:
-                _emit_epoch_row(obs, now, row)
-            report.pools.extend(
-                _pool_rows(cluster, self._provisioner, self._targets, epoch)
-            )
-
-            if checkpoint is not None:
-                checkpoint.maybe_save(
-                    epoch + 1,
-                    {
-                        "engine": "epoch",
-                        "next_epoch": epoch + 1,
-                        "cluster": cluster,
-                        "driver": driver,
-                        "mix_cache": mix_cache,
-                        "report": report,
-                        "last_drops": last_drops,
-                        "fail_viol_seconds": fail_viol_seconds,
-                        "fail_drop_seconds": fail_drop_seconds,
-                        "telemetry": telemetry,
-                        "warm_cache": warm_cache,
-                    },
-                )
-        report.migrations = list(cluster.migration_log)
-        report.faults = faults_payload(
-            cluster, fail_viol_seconds, fail_drop_seconds
-        )
-        report.telemetry = telemetry.payload()
-        return report
-
-
 # ----------------------------------------------------------------------
-# Continuous-time event engine
+# The engine
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ObservationRecord:
@@ -1273,12 +904,14 @@ class EventReport:
 class EventEngine:
     """Drives one policy through the continuous-time fleet simulation.
 
-    Same constructor contract as :class:`FleetEngine` plus an
-    :class:`~repro.fleet.events.EventConfig`. ``run(horizon)`` advances
-    the fleet to ``horizon`` seconds (one epoch of the time-stepped
-    engine = one second) and returns an :class:`EventReport` whose
-    ``fleet`` member is byte-identical to ``FleetEngine.run(horizon)``'s
-    report under :meth:`EventConfig.epoch_equivalent`.
+    ``run(horizon)`` advances the fleet to ``horizon`` seconds (one
+    epoch = one second) under the :class:`~repro.fleet.events.
+    EventConfig` and returns an :class:`EventReport`. ``runtime`` names
+    the execution runtime scoring runs on (a :class:`~repro.fleet.
+    runtime.Runtime` instance, ``"serial"`` / ``"process"``, or ``None``
+    for serial) and ``topology`` the pod layout (``None`` = flat). Both
+    are report-invariant: same seed ⇒ byte-identical reports at any
+    runtime/worker count.
     """
 
     def __init__(
@@ -1295,9 +928,19 @@ class EventEngine:
         recorder: Optional[Recorder] = None,
         warm_start: bool = False,
     ) -> None:
-        self._policy, self._provisioner = _validate_pool(
-            policy, model, score_mode, provisioner
-        )
+        if score_mode not in ("batch", "loop"):
+            raise ConfigurationError("score_mode must be 'batch' or 'loop'")
+        if provisioner is None:
+            # Homogeneous fleet: every NIC is the model's default target.
+            provisioner = NicProvisioner.constant(model.nic.spec)
+        for target in provisioner.target_names:
+            if target not in model.target_names:
+                raise ConfigurationError(
+                    f"nic-mix target {target!r} has no placement model; "
+                    f"registered: {list(model.target_names)}"
+                )
+        self._policy = make_policy(policy) if isinstance(policy, str) else policy
+        self._provisioner = provisioner
         self._churn = churn
         self._model = model
         self._targets = self._provisioner.target_names
@@ -1332,17 +975,28 @@ class EventEngine:
     ) -> EventReport:
         """Simulate ``horizon`` seconds; returns the scored trajectory.
 
-        Stateless across calls, like :meth:`FleetEngine.run`. The
-        ``checkpoint`` / ``resume`` contract also mirrors the epoch
-        engine's: snapshots are taken after on-grid probes (the epoch
-        grid, so one ``--checkpoint-every`` knob serves both engines)
-        and a resumed run finishes byte-identical to the uninterrupted
-        one.
+        Stateless across calls: every invocation rebuilds the cluster
+        and the scoring caches, so repeated runs of one engine are
+        bit-identical.
+
+        ``checkpoint`` snapshots the engine state after every interval
+        of on-grid probes (the epoch grid); ``resume`` is a snapshot's
+        state dict (:func:`~repro.fleet.checkpoint.load_checkpoint`),
+        from which the run continues to a final report byte-identical
+        to the uninterrupted one. A snapshot resumes only under the
+        :class:`EventConfig` and horizon it was written with.
         """
         try:
+            # The attached recorder doubles as the process-wide active
+            # recorder for the run, so recorder-less layers (the batch
+            # solver) can report exec-channel metrics into it.
             with use_recorder(self._obs):
                 return self._run(horizon, checkpoint, resume)
         except BaseException:
+            # The engine owns its runtime's lifecycle on error paths: a
+            # failing run must not leak worker pools. (Success keeps
+            # the pool warm for the next run; close() is idempotent and
+            # the pool rebuilds on demand.)
             self._runtime.close()
             raise
 
@@ -1371,10 +1025,10 @@ class EventEngine:
         )
 
         if resume is not None:
-            if resume.get("engine") != "event":
+            if resume.get("config") != cfg:
                 raise ConfigurationError(
-                    "this checkpoint was written by the epoch engine; "
-                    "resume it with FleetEngine.run"
+                    f"checkpoint was written under {resume.get('config')}, "
+                    f"not {cfg}"
                 )
             cluster = resume["cluster"]
             queue = resume["queue"]
@@ -1502,12 +1156,8 @@ class EventEngine:
             while queue and queue.peek().time == t:
                 event = self._pop(queue, report)
 
-                # Fault transitions emit "sim"-channel events mirroring
-                # EpochFaultDriver.apply exactly (same names, fields,
-                # success conditions, and — at one timestamp — the same
-                # order, because the driver applies categories in this
-                # queue's priority order), so the sim stream agrees
-                # across engines under aligned faults.
+                # Fault transitions emit "sim"-channel events, in the
+                # queue's priority order at one timestamp.
                 if isinstance(event, NicRestore):
                     if cluster.restore_nic(event.nic_id):
                         dirty = True
@@ -1597,17 +1247,29 @@ class EventEngine:
                         )
 
                 elif isinstance(event, RebalanceTimer):
-                    if cluster.evicted and self._policy.replace_evicted(
-                        cluster, int(math.floor(t)), self._model
-                    ):
-                        dirty = True
-                    moved = self._policy.rebalance(
-                        cluster, int(math.floor(t)), self._model, last_drops
-                    )
-                    if self._launch_migrations(cluster, queue, report, horizon):
-                        dirty = True
-                    elif moved:
-                        dirty = True  # instantaneous (duration-0) moves
+                    # Failover drain (evicted services re-place through
+                    # the policy's own strategy), then rebalancing on
+                    # the previous observation's measured drops.
+                    with obs.span(t, "phase.rebalance") as span:
+                        started = cluster.total_migrations_started
+                        if cluster.evicted and self._policy.replace_evicted(
+                            cluster, int(math.floor(t)), self._model
+                        ):
+                            dirty = True
+                        moved = self._policy.rebalance(
+                            cluster, int(math.floor(t)), self._model,
+                            last_drops,
+                        )
+                        if self._launch_migrations(
+                            cluster, queue, report, horizon
+                        ):
+                            dirty = True
+                        elif moved:
+                            dirty = True  # instantaneous (duration-0) moves
+                        span.add(
+                            migrations=cluster.total_migrations_started
+                            - started
+                        )
                     rebalance_index += 1
                     nxt = rebalance_index * cfg.rebalance_period
                     if nxt < horizon:
@@ -1616,7 +1278,7 @@ class EventEngine:
                 elif isinstance(event, Arrival):
                     # Gather the whole same-time arrival group (they are
                     # contiguous in the queue) so their solo baselines
-                    # warm in one batch, like an epoch's phase 2b.
+                    # warm in one batch.
                     group = [event]
                     while (
                         queue
@@ -1625,42 +1287,43 @@ class EventEngine:
                     ):
                         group.append(self._pop(queue, report))
                     requests = [e.request for e in group]
-                    pairs = [
-                        (r.nf_name, r.traffic) for r in cluster.services
-                    ]
-                    pairs.extend(
-                        (rq.nf_name, rq.trace.profile_at(t))
-                        for rq in requests
-                    )
-                    _warm_pairs(
-                        self._model, self._targets, pairs,
-                        self._score_mode, self._runtime,
-                    )
-                    for request in requests:
-                        instance = ServiceInstance(
-                            request=request,
-                            traffic=request.trace.profile_at(t),
+                    with obs.span(t, "phase.arrivals", arrivals=len(requests)):
+                        pairs = [
+                            (r.nf_name, r.traffic) for r in cluster.services
+                        ]
+                        pairs.extend(
+                            (rq.nf_name, rq.trace.profile_at(t))
+                            for rq in requests
                         )
-                        try:
-                            nic_id = self._policy.choose_nic(
-                                cluster, instance, self._model
+                        _warm_pairs(
+                            self._model, self._targets, pairs,
+                            self._score_mode, self._runtime,
+                        )
+                        for request in requests:
+                            instance = ServiceInstance(
+                                request=request,
+                                traffic=request.trace.profile_at(t),
                             )
-                            cluster.place(instance, nic_id)
-                        except PlacementError:
-                            # Nowhere to put it (e.g. every pod is in
-                            # outage): it waits in the queue.
-                            cluster.enqueue_evicted(instance)
-                        instances[request.instance_id] = instance
-                        departs = float(request.departure_epoch)
-                        if departs < horizon:
-                            queue.push(
-                                Departure(departs, request.instance_id)
-                            )
-                        nxt = request.trace.next_change_after(t)
-                        if nxt is not None and nxt < horizon:
-                            queue.push(
-                                TrafficChange(nxt, request.instance_id)
-                            )
+                            try:
+                                nic_id = self._policy.choose_nic(
+                                    cluster, instance, self._model
+                                )
+                                cluster.place(instance, nic_id)
+                            except PlacementError:
+                                # Nowhere to put it (e.g. every pod is in
+                                # outage): it waits in the queue.
+                                cluster.enqueue_evicted(instance)
+                            instances[request.instance_id] = instance
+                            departs = float(request.departure_epoch)
+                            if departs < horizon:
+                                queue.push(
+                                    Departure(departs, request.instance_id)
+                                )
+                            nxt = request.trace.next_change_after(t)
+                            if nxt is not None and nxt < horizon:
+                                queue.push(
+                                    TrafficChange(nxt, request.instance_id)
+                                )
                     arrivals_since += len(requests)
                     dirty = True
 
@@ -1676,20 +1339,19 @@ class EventEngine:
                 continue
 
             # Observation point: lazy scoring of the current fleet.
-            _warm_pairs(
-                self._model,
-                self._targets,
-                [(r.nf_name, r.traffic) for r in cluster.services],
-                self._score_mode,
-                self._runtime,
-            )
-            drops, throughputs = _score_cluster(
-                cluster, self._model, self._targets, mix_cache,
-                self._score_mode, self._runtime, now=t,
-                seed=self._churn.seed,
-                obs=obs, sim_time=t, telemetry=telemetry,
-                warm_start=self._warm_start, warm_cache=warm_cache,
-            )
+            pairs = [(r.nf_name, r.traffic) for r in cluster.services]
+            with obs.span(t, "phase.warm", pairs=len(pairs)):
+                _warm_pairs(
+                    self._model, self._targets, pairs, self._score_mode,
+                    self._runtime,
+                )
+            with obs.span(t, "phase.score"):
+                drops, throughputs = _score_cluster(
+                    cluster, self._model, self._targets, mix_cache,
+                    self._score_mode, self._runtime, t, obs=obs,
+                    telemetry=telemetry, warm_start=self._warm_start,
+                    warm_cache=warm_cache,
+                )
             live = _live_services(cluster)
             violated = [
                 instance.instance_id
@@ -1723,9 +1385,8 @@ class EventEngine:
 
             grid_probe = probe_due and t == math.floor(t)
             if grid_probe:
-                # On-grid probe: emit the epoch row the time-stepped
-                # engine would have emitted, from counters accumulated
-                # since the previous grid probe.
+                # On-grid probe: the epoch row, from counters
+                # accumulated since the previous grid probe.
                 epoch = int(t)
                 services = len(live)
                 total_cores = sum(
@@ -1762,8 +1423,16 @@ class EventEngine:
                     aggregate_throughput_mpps=sum(throughputs.values()),
                 )
                 report.fleet.metrics.append(row)
-                if obs.enabled:
-                    _emit_epoch_row(obs, t, row)
+                obs.event(
+                    t, "epoch.metrics", chan="sim",
+                    epoch=epoch,
+                    services=services,
+                    nics_used=row.nics_used,
+                    arrivals=row.arrivals,
+                    departures=row.departures,
+                    migrations=row.migrations,
+                    sla_violations=row.sla_violations,
+                )
                 report.fleet.pools.extend(
                     _pool_rows(
                         cluster, self._provisioner, self._targets, epoch
@@ -1788,7 +1457,7 @@ class EventEngine:
                 checkpoint.maybe_save(
                     int(t) + 1,
                     {
-                        "engine": "event",
+                        "config": cfg,
                         "cluster": cluster,
                         "queue": queue,
                         "instances": instances,
@@ -1891,6 +1560,55 @@ class EventEngine:
                     MigrationComplete(record.end_time, record.instance_id)
                 )
         return bool(pending)
+
+
+class FleetEngine(EventEngine):
+    """The time-stepped fleet simulation: :class:`EventEngine` under
+    :meth:`EventConfig.epoch_equivalent`, reporting the epoch grid.
+
+    Arrivals land on epoch boundaries, migrations are free, NICs boot
+    instantly and the policy decides and scoring observes once per
+    epoch; ``run(epochs)`` returns the :class:`FleetReport` alone. A
+    trace with an off-grid change point (an explicit flash-crowd
+    ``onset_time``) is still observed at that instant, since the preset
+    keeps ``observe_changes``; the epoch rows sample only the grid.
+    """
+
+    def __init__(
+        self,
+        policy: FleetPolicy | str,
+        churn: ChurnProcess,
+        model: PlacementModel,
+        score_mode: str = "batch",
+        provisioner: Optional[NicProvisioner] = None,
+        runtime: "Runtime | str | None" = None,
+        topology: Optional[Topology] = None,
+        faults: Optional[FaultSchedule] = None,
+        recorder: Optional[Recorder] = None,
+        warm_start: bool = False,
+    ) -> None:
+        super().__init__(
+            policy,
+            churn,
+            model,
+            score_mode=score_mode,
+            provisioner=provisioner,
+            config=EventConfig.epoch_equivalent(),
+            runtime=runtime,
+            topology=topology,
+            faults=faults,
+            recorder=recorder,
+            warm_start=warm_start,
+        )
+
+    def run(
+        self,
+        epochs: int,
+        checkpoint: Optional[Checkpointer] = None,
+        resume: Optional[dict] = None,
+    ) -> FleetReport:
+        """Simulate ``epochs`` epochs; see :meth:`EventEngine.run`."""
+        return super().run(epochs, checkpoint, resume).fleet
 
 
 __all__ = [

@@ -7,10 +7,10 @@ Determinism is structural: events are totally ordered by
 
 - ``time`` is the simulation clock in seconds (one epoch of the
   time-stepped engine spans one second);
-- ``priority`` is fixed per event *type* and mirrors the phase order of
-  the epoch engine, so events sharing a timestamp replay the epoch
-  phases exactly (departures before traffic changes before rebalancing
-  before arrivals before scoring);
+- ``priority`` is fixed per event *type* and encodes the phase order,
+  so events sharing a timestamp replay the epoch phases exactly
+  (departures before traffic changes before rebalancing before
+  arrivals before scoring);
 - ``seq`` is the queue's monotone insertion counter, which makes ties
   within one ``(time, priority)`` bucket FIFO in scheduling order.
 
@@ -39,8 +39,8 @@ from repro.fleet.churn import ServiceRequest
 class Event:
     """Base event: a point on the simulation clock."""
 
-    #: Tie-break rank among events sharing a timestamp; mirrors the
-    #: epoch engine's phase order (see the class docstrings below).
+    #: Tie-break rank among events sharing a timestamp; encodes the
+    #: phase order (see the class docstrings below).
     priority: ClassVar[int] = 99
 
     time: float
@@ -60,8 +60,7 @@ class NicRestore(Event):
 
     Fault transitions order *before* every workload event at a shared
     timestamp — restores first, so capacity freed by a repair is
-    visible to everything else happening at that instant — mirroring
-    the epoch engine's phase-0 fault application.
+    visible to everything else happening at that instant.
     """
 
     priority: ClassVar[int] = -4
@@ -267,8 +266,8 @@ class EventConfig:
     The defaults enable the continuous behaviours (sub-epoch arrival
     times, observation of off-grid change points); the
     :meth:`epoch_equivalent` preset quantizes everything back onto the
-    epoch grid, under which the event engine must reproduce the epoch
-    engine's reports byte-identically.
+    epoch grid; the time-stepped :class:`~repro.fleet.engine.FleetEngine`
+    is the engine under that preset.
     """
 
     #: Snap Poisson arrival times to their epoch boundary.
@@ -309,8 +308,8 @@ class EventConfig:
 
     @classmethod
     def epoch_equivalent(cls) -> "EventConfig":
-        """The quantized preset under which the event engine must equal
-        the epoch engine byte for byte."""
+        """The quantized preset :class:`~repro.fleet.engine.FleetEngine`
+        runs under: every event on the epoch grid."""
         return cls(
             quantize_arrivals=True,
             migration_duration=0.0,

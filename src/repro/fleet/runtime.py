@@ -1,8 +1,8 @@
 """Execution runtimes: where the fleet's scoring work actually runs.
 
-Both fleet engines (:class:`~repro.fleet.engine.FleetEngine` and
-:class:`~repro.fleet.engine.EventEngine`) funnel their per-epoch /
-per-observation ground-truth solving through one :class:`Runtime`
+The fleet engine (:class:`~repro.fleet.engine.EventEngine` and its
+time-stepped preset :class:`~repro.fleet.engine.FleetEngine`) funnels
+its per-observation ground-truth solving through one :class:`Runtime`
 interface — the SimBricks local/parallel/distributed-runtime shape: the
 engine describes *what* must be solved (per-pod mix scenarios, solo
 baselines) and the runtime decides *where*:
@@ -22,20 +22,13 @@ stream, and ``run_batch`` is bit-identical to per-scenario ``run``.
 Workers receive pickled copies of the engine's own simulators, so a
 scenario solves to the identical float no matter which worker (or the
 parent) executes it, and no matter how scenarios are grouped into
-batches. Each :class:`PodScoreTask` additionally carries a per-pod
-derived seed (:meth:`Topology.pod_seed
-<repro.fleet.topology.Topology.pod_seed>`) — keyed to the *pod*, never
-the worker — so future pod-local stochastic refinements inherit the
-same guarantee, exactly like ``YalaSystem.train(jobs=)``'s per-NF
-derived seeds. The merge is deterministic because results are
+batches. The merge is deterministic because results are
 re-assembled in task order and every cache insert happens in the parent
 in a fixed iteration order. Net contract, enforced by tier-1: **same
 seed ⇒ byte-identical reports at any runtime and any worker count.**
 
 Naming: worker-process counts are called ``jobs`` everywhere in this
-repo (the experiment runner's ``--jobs``, ``YalaSystem.train(jobs=)``);
-:class:`ProcessRuntime` follows suit and accepts ``workers=`` only as a
-deprecated alias.
+repo (the experiment runner's ``--jobs``, ``YalaSystem.train(jobs=)``).
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import warnings
 from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
@@ -92,8 +84,6 @@ class PodScoreTask:
     """
 
     pod_id: int
-    #: Per-pod derived seed (pure in ``(seed, pod_id)``; see module doc).
-    seed: int
     mixes: tuple[tuple[str, tuple[tuple, ...]], ...]
     #: Warm-start payload, aligned with ``mixes``: one tuple per
     #: ``(target, mix_keys)`` group holding, per mix key, either
@@ -378,21 +368,11 @@ class ProcessRuntime(Runtime):
     def __init__(
         self,
         jobs: Optional[int] = None,
-        workers: Optional[int] = None,
         min_parallel_items: int = 24,
         task_timeout: Optional[float] = 300.0,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
     ) -> None:
-        if workers is not None:
-            warnings.warn(
-                "ProcessRuntime(workers=...) is deprecated; use jobs= "
-                "(the repo-wide name for worker-process counts)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if jobs is None:
-                jobs = workers
         if jobs is None:
             jobs = max(1, os.cpu_count() or 1)
         if jobs < 1:

@@ -16,11 +16,10 @@ are byte-reproducible: the same config yields the same serialized
 stream at any ``--runtime``/``--jobs`` count.  Each record carries a
 channel:
 
-- ``"sim"`` — events both engines emit identically under
-  :meth:`EventConfig.epoch_equivalent` (scoring passes, per-epoch
-  metric rows, fault transitions).  Cross-*engine* parity compares
-  this channel only.
-- ``"engine"`` — events specific to one engine's mechanics (epoch
+- ``"sim"`` — simulated-time facts (scoring passes, per-epoch metric
+  rows, fault transitions).  Parity against stored golden streams
+  compares this channel only.
+- ``"engine"`` — events specific to the engine's mechanics (per-instant
   phase spans, event-queue pops, migration markers).  Still
   deterministic across runtimes and worker counts, but an epoch run
   and an event run legitimately differ here.

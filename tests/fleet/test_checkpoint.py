@@ -1,10 +1,11 @@
 """Tests for crash-surviving checkpoints and atomic report writes.
 
 The headline contract: a run resumed from a mid-run snapshot finishes
-**byte-identical** to the uninterrupted run — for both engines, with
-faults injected, across execution runtimes. Plus the safety rails:
-snapshots are written atomically (no truncated files, ever), and a
-snapshot refuses to resume into a different configuration.
+**byte-identical** to the uninterrupted run — continuous-time or
+time-stepped, with faults injected, across execution runtimes. Plus the
+safety rails: snapshots are written atomically (no truncated files,
+ever), and a snapshot refuses to resume into a different configuration,
+event config or horizon.
 """
 
 import os
@@ -24,6 +25,13 @@ from repro.fleet import (
     simulate,
 )
 from repro.fleet import __main__ as fleet_cli
+from repro.fleet.churn import ChurnProcess
+from repro.fleet.engine import EventEngine, FleetEngine
+from repro.fleet.events import EventConfig
+from repro.fleet.policies import PlacementModel
+from repro.nic.nic import SmartNic
+from repro.nic.spec import bluefield2_spec
+from repro.profiling.collector import ProfilingCollector
 
 BASE = dict(
     policy="yala", epochs=10, quota=60, initial_services=5,
@@ -172,6 +180,57 @@ class TestResumeByteIdentity:
         other = dict(BASE, seed=FleetConfig(**BASE).seed + 1)
         with pytest.raises(ConfigurationError, match="different"):
             simulate(FleetConfig(resume_path=snap, **other), model=model)
+
+
+class TestEngineResumeGuards:
+    """A snapshot resumes only under its own EventConfig and horizon."""
+
+    FINGERPRINT = {"test": "resume-guards"}
+
+    @pytest.fixture(scope="class")
+    def plain_model(self):
+        nic = SmartNic(bluefield2_spec(), seed=3, noise_std=0.0)
+        return PlacementModel(collector=ProfilingCollector(nic), nic=nic)
+
+    @staticmethod
+    def _preset(plain_model):
+        churn = ChurnProcess(
+            nf_names=("flowstats", "nat"), seed=5, arrival_rate=1.0,
+            initial_services=4,
+        )
+        return FleetEngine("greedy", churn, plain_model)
+
+    def _snapshot(self, tmp_path, plain_model, epochs):
+        snap = str(tmp_path / "snap.pkl")
+        self._preset(plain_model).run(
+            epochs, checkpoint=Checkpointer(snap, 1, self.FINGERPRINT)
+        )
+        return load_checkpoint(snap, self.FINGERPRINT)[1]
+
+    def test_preset_refuses_a_longer_horizon(self, tmp_path, plain_model):
+        state = self._snapshot(tmp_path, plain_model, 1)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            self._preset(plain_model).run(4, resume=state)
+
+    def test_refuses_another_event_config(self, tmp_path, plain_model):
+        state = self._snapshot(tmp_path, plain_model, 2)
+        churn = ChurnProcess(
+            nf_names=("flowstats", "nat"), seed=5, arrival_rate=1.0,
+            initial_services=4,
+        )
+        engine = EventEngine(
+            "greedy", churn, plain_model,
+            config=EventConfig(quantize_arrivals=True, spinup_latency=0.5),
+        )
+        with pytest.raises(ConfigurationError, match="written under"):
+            engine.run(2, resume=state)
+        # The preset's own config is the quantized zero-cost one, so the
+        # engine under it resumes the snapshot.
+        same = EventEngine(
+            "greedy", churn, plain_model,
+            config=EventConfig(quantize_arrivals=True),
+        )
+        assert same.run(2, resume=state).fleet.epochs == 2
 
 
 def _resave_first_snapshot(final_snap, base, model, tmp_path, engine):

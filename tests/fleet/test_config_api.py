@@ -61,6 +61,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             FleetConfig(**kwargs)
 
+    @pytest.mark.parametrize("name,value", [
+        ("migration_duration", 1.5),
+        ("cross_pod_migration_duration", 2.0),
+        ("spinup_latency", 0.5),
+        ("probe_period", 0.5),
+        ("rebalance_period", 2.0),
+        ("observe_changes", False),
+    ])
+    def test_epoch_engine_rejects_event_only_knobs(self, name, value):
+        # The epoch engine runs EventConfig.epoch_equivalent(); any
+        # other continuous-time value would be silently ignored.
+        with pytest.raises(ConfigurationError, match=name):
+            FleetConfig(engine="epoch", **{name: value})
+        assert getattr(FleetConfig(engine="event", **{name: value}), name) == value
+
     def test_rejects_mean_lifetime_below_one_epoch(self):
         # Used to construct and then fail inside simulate() when the
         # churn process was built.
@@ -139,7 +154,6 @@ class TestFromCliArgs:
             quota=50,
             runtime="serial",
             jobs=1,
-            workers=None,
             quantize_arrivals=False,
             migration_duration=0.0,
             cross_pod_migration_duration=None,
@@ -165,11 +179,6 @@ class TestFromCliArgs:
     def test_splits_nf_pool(self):
         config = FleetConfig.from_cli_args(self._args({}))
         assert config.nf_pool == ("flowstats", "nat")
-
-    def test_workers_alias_warns_and_wins(self):
-        with pytest.warns(DeprecationWarning, match="--jobs"):
-            config = FleetConfig.from_cli_args(self._args({"workers": 3}))
-        assert config.jobs == 3
 
 
 class TestFacadeMatchesCli:

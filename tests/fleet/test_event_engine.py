@@ -1,12 +1,14 @@
 """Tests for the continuous-time event engine.
 
-The central contract: under :meth:`EventConfig.epoch_equivalent` the
-event engine reproduces the epoch engine's reports **byte-identically**
-(JSON and rendered text) for every policy, including migration-active
-rebalancing and heterogeneous fleets. On top of that sit the
-continuous-time semantics the epoch clock cannot express — sub-epoch
-arrivals, timed migrations with dual-NIC contention, NIC spin-up — and
-the acceptance scenario where migration cost flips a policy ranking.
+The central contract: the time-stepped :class:`FleetEngine` preset (the
+engine under :meth:`EventConfig.epoch_equivalent`) reproduces the
+reports of the standalone epoch loop it replaced **byte-identically**
+(JSON and rendered text, checked against golden digests) for every
+policy, including migration-active rebalancing and heterogeneous
+fleets. On top of that sit the continuous-time semantics the epoch
+clock cannot express — sub-epoch arrivals, timed migrations with
+dual-NIC contention, NIC spin-up — and the acceptance scenario where
+migration cost flips a policy ranking.
 """
 
 import json
@@ -87,74 +89,57 @@ def mixed_model():
     return model
 
 
-def _assert_byte_equal(event_report, epoch_report):
-    assert event_report.fleet.to_json() == epoch_report.to_json()
-    assert event_report.fleet.render() == epoch_report.render()
-
-
 class TestEpochEquivalence:
-    """Quantized event runs equal epoch runs byte for byte."""
+    """The time-stepped preset reproduces the former epoch loop's bytes."""
+
+    @staticmethod
+    def _assert_golden(golden_digest, name, report):
+        golden_digest(name, "json", report.to_json())
+        golden_digest(name, "render", report.render())
 
     @pytest.mark.parametrize("policy", ["greedy", "monopolization"])
-    def test_plain_policies(self, plain_model, policy):
+    def test_plain_policies(self, plain_model, policy, golden_digest):
         epoch = FleetEngine(policy, _churn(PLAIN_POOL), plain_model).run(EPOCHS)
-        event = EventEngine(
-            policy,
-            _churn(PLAIN_POOL),
-            plain_model,
-            config=EventConfig.epoch_equivalent(),
-        ).run(EPOCHS)
-        _assert_byte_equal(event, epoch)
+        self._assert_golden(golden_digest, policy, epoch)
 
-    def test_yala_policy(self, trained_model):
+    def test_yala_policy(self, trained_model, golden_digest):
         epoch = FleetEngine("yala", _churn(TRAINED_POOL), trained_model).run(
             EPOCHS
         )
-        event = EventEngine(
-            "yala",
-            _churn(TRAINED_POOL),
-            trained_model,
-            config=EventConfig.epoch_equivalent(),
-        ).run(EPOCHS)
-        _assert_byte_equal(event, epoch)
+        self._assert_golden(golden_digest, "yala", epoch)
 
-    def test_rebalance_policy_with_live_migrations(self, trained_model):
+    def test_rebalance_policy_with_live_migrations(
+        self, trained_model, golden_digest
+    ):
         epoch = FleetEngine("rebalance", _busy_churn(), trained_model).run(6)
         # The scenario must actually migrate, or this test pins nothing.
         assert epoch.total_migrations >= 1
+        self._assert_golden(golden_digest, "rebalance-migrations", epoch)
+        # The preset is nothing but the engine under epoch_equivalent().
         event = EventEngine(
             "rebalance",
             _busy_churn(),
             trained_model,
             config=EventConfig.epoch_equivalent(),
         ).run(6)
-        _assert_byte_equal(event, epoch)
+        assert event.fleet.to_json() == epoch.to_json()
         assert event.migrations_started == epoch.total_migrations
 
-    def test_heterogeneous_fleet(self, mixed_model):
-        def hetero_churn():
-            return ChurnProcess(
-                nf_names=("flowstats", "nat", "nids"),
-                seed=77,
-                arrival_rate=2.5,
-                mean_lifetime=8.0,
-                initial_services=6,
-            )
-
-        def provisioner():
-            return NicProvisioner(MIX, seed=derive_seed(11, "nic-mix"))
-
+    def test_heterogeneous_fleet(self, mixed_model, golden_digest):
+        hetero_churn = ChurnProcess(
+            nf_names=("flowstats", "nat", "nids"),
+            seed=77,
+            arrival_rate=2.5,
+            mean_lifetime=8.0,
+            initial_services=6,
+        )
         epoch = FleetEngine(
-            "greedy", hetero_churn(), mixed_model, provisioner=provisioner()
-        ).run(EPOCHS)
-        event = EventEngine(
             "greedy",
-            hetero_churn(),
+            hetero_churn,
             mixed_model,
-            provisioner=provisioner(),
-            config=EventConfig.epoch_equivalent(),
+            provisioner=NicProvisioner(MIX, seed=derive_seed(11, "nic-mix")),
         ).run(EPOCHS)
-        _assert_byte_equal(event, epoch)
+        self._assert_golden(golden_digest, "hetero", epoch)
 
     def test_quantized_integral_matches_epoch_counts(self, plain_model):
         """On the grid the left-Riemann integral degenerates to the

@@ -4,8 +4,10 @@ The fault layer's contract is the same one every other fleet stream
 obeys: **pure in (seed, entity)**. The hypothesis properties pin that
 a schedule is a function — same seed, same trajectory, one fault per
 NIC ordinal, restores strictly after their faults — and the
-integration tests pin that injecting faults keeps the byte-identity
-contract across engines and that the report's ``faults`` section
+integration tests pin that faulted runs keep their bytes (golden
+digests recorded from the former standalone epoch loop, matched by both
+the time-stepped preset and the quantized event engine) and that the
+report's ``faults`` section
 accounts for every eviction. The pinned policy test captures the
 headline robustness result: a pod outage *flips* the yala-vs-rebalance
 ranking, because diagnosis-driven rebalancing pays off differently
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fleet import (
-    EpochFaultDriver,
     FaultConfig,
     FaultSchedule,
     FleetConfig,
@@ -65,13 +66,6 @@ class TestFaultConfigValidation:
         assert not FaultConfig().any_faults
         assert FaultConfig(nic_fail_rate=0.1).any_faults
         assert FaultConfig(pod_outage_rate=0.1).any_faults
-
-    def test_epoch_driver_rejects_unaligned(self):
-        schedule = FaultSchedule(
-            FaultConfig(nic_fail_rate=0.5, align_to_epochs=False), seed=1
-        )
-        with pytest.raises(ConfigurationError, match="align"):
-            EpochFaultDriver(schedule)
 
 
 class TestScheduleProperties:
@@ -201,32 +195,29 @@ class TestFaultInjectionEndToEnd:
             == simulate(FleetConfig(**with_knobs), model=model).to_json()
         )
 
-    def test_epoch_event_parity_with_faults(self, model):
+    def test_epoch_event_parity_with_faults(self, model, golden_digest):
         epoch = simulate(FleetConfig(engine="epoch", **self.BASE),
                          model=model)
+        golden_digest("node-faults", "json", epoch.to_json())
+        golden_digest("node-faults", "render", epoch.render())
         event = simulate(
             FleetConfig(engine="event", quantize_arrivals=True,
                         **self.BASE),
             model=model,
         )
-        epoch_payload = json.loads(epoch.to_json())
-        fleet_section = json.loads(event.to_json())["fleet"]
-        assert json.dumps(epoch_payload, sort_keys=True) == json.dumps(
-            fleet_section, sort_keys=True
-        )
+        golden_digest("node-faults", "json", event.fleet.to_json())
 
-    def test_pod_outage_parity_and_accounting(self, model):
+    def test_pod_outage_parity_and_accounting(self, model, golden_digest):
         base = dict(self.BASE, pods=2, pod_outage_rate=0.9)
         epoch = simulate(FleetConfig(engine="epoch", **base), model=model)
+        assert json.loads(epoch.to_json())["faults"]["pod_outages"] > 0
+        golden_digest("pod-outage", "json", epoch.to_json())
+        golden_digest("pod-outage", "render", epoch.render())
         event = simulate(
             FleetConfig(engine="event", quantize_arrivals=True, **base),
             model=model,
         )
-        payload = json.loads(epoch.to_json())
-        assert payload["faults"]["pod_outages"] > 0
-        assert json.dumps(payload, sort_keys=True) == json.dumps(
-            json.loads(event.to_json())["fleet"], sort_keys=True
-        )
+        golden_digest("pod-outage", "json", event.fleet.to_json())
 
     def test_pod_outage_requires_fixed_pods(self):
         with pytest.raises(ConfigurationError, match="pod"):
@@ -240,8 +231,8 @@ class TestOutageFlipsPolicyRanking:
     yala placement (fewer violation-epochs). Under a pod outage the
     ranking *flips*: rebalance churns services across the shrunken
     fleet while the outage holds, yala's conservative placements ride
-    it out. Values are pinned — a byte-level change to either engine
-    or the fault layer must be a conscious schema/trajectory decision.
+    it out. Values are pinned — a byte-level change to the engine or
+    the fault layer must be a conscious schema/trajectory decision.
     """
 
     BASE = dict(

@@ -3,9 +3,9 @@
 The headline contract, pinned here: **telemetry never perturbs
 results**. Attaching any recorder leaves the report byte-identical;
 everything keyed by simulated time is itself byte-deterministic at any
-``--runtime``/``--jobs`` setting, and the ``sim`` channel agrees
-byte-for-byte between the epoch and event engines under the
-epoch-equivalence contract. Wall-clock timings live in a separated
+``--runtime``/``--jobs`` setting, and the ``sim`` channel of the
+time-stepped preset matches a golden stream recorded from the former
+standalone epoch loop, as does the quantized event engine's. Wall-clock timings live in a separated
 ``timing`` channel that makes no determinism promises, exports as a
 Chrome trace-event timeline (pods as tracks), and is excluded from
 every parity assertion.
@@ -17,7 +17,6 @@ import pytest
 
 from repro.fleet import __main__ as fleet_cli
 from repro.fleet import (
-    Checkpointer,
     FleetConfig,
     build_model_for,
     simulate,
@@ -168,10 +167,11 @@ class TestDeterministicStream:
         for key, stream in streams.items():
             assert stream == reference, f"{key} diverged from serial"
 
-    def test_sim_channel_identical_across_engines(self, model):
-        # Under the epoch-equivalence contract the continuous-time
-        # engine replays the epoch engine's trajectory — and its sim
-        # channel — byte-for-byte, faults included.
+    def test_sim_channel_identical_across_engines(self, model,
+                                                  golden_digest):
+        # The preset's sim channel — faults included — is the former
+        # epoch loop's, byte for byte, and so is the quantized event
+        # engine's.
         epoch_rec, event_rec = TraceRecorder(), TraceRecorder()
         simulate(FleetConfig(**FAULTY), model=model, recorder=epoch_rec)
         simulate(
@@ -179,9 +179,11 @@ class TestDeterministicStream:
             model=model, recorder=event_rec,
         )
         sim_epoch = epoch_rec.to_jsonl(chan="sim")
-        assert sim_epoch
         assert "fault." in sim_epoch  # the faulted config actually faults
-        assert sim_epoch == event_rec.to_jsonl(chan="sim")
+        golden_digest("faulted-sim-channel", "jsonl", sim_epoch)
+        golden_digest(
+            "faulted-sim-channel", "jsonl", event_rec.to_jsonl(chan="sim")
+        )
 
     def test_repeat_run_stream_identical(self, model):
         first, second = TraceRecorder(), TraceRecorder()
@@ -348,15 +350,6 @@ class TestCliTelemetry:
 
 
 class TestWorkersDeprecation:
-    def test_workers_flag_parses_warns_and_maps_to_jobs(self):
-        parser = fleet_cli.build_parser()
-        args = parser.parse_args(["--workers", "3"])
-        assert args.workers == 3
-        assert args.jobs == 1  # untouched default
-        with pytest.warns(DeprecationWarning, match="--jobs"):
-            config = FleetConfig.from_cli_args(args)
-        assert config.jobs == 3
-
     def test_jobs_flag_warns_nothing(self, recwarn):
         parser = fleet_cli.build_parser()
         config = FleetConfig.from_cli_args(parser.parse_args(["--jobs", "2"]))

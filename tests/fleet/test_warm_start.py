@@ -7,7 +7,9 @@ same seed + ``warm_start=True`` ⇒ byte-identical reports across
 
 - execution runtimes and job counts (the warm cache travels inside
   ``PodScoreTask`` payloads, never in worker state),
-- the epoch and (quantized, zero-cost) event engines,
+- the time-stepped preset and the quantized, zero-cost event engine
+  (both against golden digests recorded from the former standalone
+  epoch loop),
 - heterogeneous hardware mixes and injected faults,
 - checkpoint/resume (the cache is snapshotted and replayed).
 
@@ -57,12 +59,16 @@ class TestWarmByteDeterminism:
                 _run(model, runtime="process", jobs=jobs) == serial
             ), f"jobs={jobs}"
 
-    def test_epoch_vs_quantized_event_engine(self, model):
-        epoch = json.loads(_run(model))
-        event = json.loads(
-            _run(model, engine="event", quantize_arrivals=True)
+    def test_epoch_vs_quantized_event_engine(self, model, golden_digest):
+        golden_digest("warm", "json", _run(model))
+        event = simulate(
+            FleetConfig(
+                **{**BASE, "warm_start": True}, engine="event",
+                quantize_arrivals=True,
+            ),
+            model=model,
         )
-        assert event["fleet"] == epoch
+        golden_digest("warm", "json", event.fleet.to_json())
 
     def test_with_hetero_mix_and_faults(self):
         over = dict(
@@ -198,7 +204,7 @@ class TestColdSnapshotIntoWarmRun:
         assert warm["hits"] == fleet(uninterrupted).telemetry["warm_start"]["hits"]
 
     def test_simulate_resumes_cold_snapshots_warm_in_both_engines(
-        self, tmp_path, model
+        self, tmp_path, model, golden_digest
     ):
         # A mid-run cold snapshot: the resumed warm run is its own
         # trajectory, deterministic, and the same in both engines.
@@ -214,9 +220,12 @@ class TestColdSnapshotIntoWarmRun:
             )
             resumed = _run(model, resume_path=snap, **over)
             assert _run(model, resume_path=snap, **over) == resumed
-            reports[engine] = json.loads(resumed)
-        assert reports["event"]["fleet"] == reports["epoch"]
-        warm = reports["epoch"]["telemetry"]["warm_start"]
+            reports[engine] = resumed
+        golden_digest("cold-snapshot-resumed-warm", "json", reports["epoch"])
+        assert json.loads(reports["event"])["fleet"] == json.loads(
+            reports["epoch"]
+        )
+        warm = json.loads(reports["epoch"])["telemetry"]["warm_start"]
         assert warm["enabled"] is True
         assert warm["hits"] > 0
 
